@@ -17,10 +17,7 @@
 
 use cputopo::{cpulist, Topology, TopologyBuilder};
 use loadgen::ClosedLoop;
-use microsvc::{
-    Deployment, Engine, EngineParams, InstanceConfig, LbPolicy, ServiceId, WindowPolicy,
-    DEFAULT_LOOKAHEAD_CAP,
-};
+use microsvc::{Deployment, Engine, EngineParams, InstanceConfig, LbPolicy, ServiceId};
 use scaleup::placement::Policy;
 use scaleup::{tuner, Lab};
 use simcore::{SimDuration, SimTime};
@@ -39,9 +36,6 @@ fn usage() -> ! {
          --measure MS                           measurement window ms (default 1500)\n\
          --seed N                               master seed (default 42)\n\
          --shards N                             parallel-in-run cells (default 1)\n\
-         --speculate                            speculative window sync (fixed wide rounds)\n\
-         --lookahead-cap N                      round width cap in windows; alone it\n\
-                                                selects adaptive sync (default 32)\n\
          --cpus LIST                            confine all instances to a cpulist\n\
          --trace N                              sample every N-th request, print waterfalls\n\
          --plot                                 ASCII plot of per-window throughput"
@@ -96,8 +90,6 @@ struct Options {
     measure_ms: u64,
     seed: u64,
     shards: u32,
-    speculate: bool,
-    lookahead_cap: Option<u32>,
     cpus: Option<String>,
     trace: Option<u64>,
     plot: bool,
@@ -114,8 +106,6 @@ fn parse_args() -> Options {
         measure_ms: 1500,
         seed: 42,
         shards: 1,
-        speculate: false,
-        lookahead_cap: None,
         cpus: None,
         trace: None,
         plot: false,
@@ -140,10 +130,6 @@ fn parse_args() -> Options {
             "--measure" => opts.measure_ms = value().parse().unwrap_or_else(|_| usage()),
             "--seed" => opts.seed = value().parse().unwrap_or_else(|_| usage()),
             "--shards" => opts.shards = value().parse().unwrap_or_else(|_| usage()),
-            "--speculate" => opts.speculate = true,
-            "--lookahead-cap" => {
-                opts.lookahead_cap = Some(value().parse().unwrap_or_else(|_| usage()));
-            }
             "--cpus" => opts.cpus = Some(value()),
             "--trace" => opts.trace = Some(value().parse().unwrap_or_else(|_| usage())),
             "--plot" => opts.plot = true,
@@ -152,18 +138,6 @@ fn parse_args() -> Options {
         }
     }
     opts
-}
-
-/// `--speculate` selects fixed wide rounds; `--lookahead-cap` alone
-/// selects adaptive widening; neither keeps the conservative default.
-fn shard_policy(speculate: bool, cap: Option<u32>) -> WindowPolicy {
-    match (speculate, cap) {
-        (true, cap) => WindowPolicy::Speculative {
-            cap: cap.unwrap_or(DEFAULT_LOOKAHEAD_CAP),
-        },
-        (false, Some(cap)) => WindowPolicy::Adaptive { cap },
-        (false, None) => WindowPolicy::Conservative,
-    }
 }
 
 fn main() {
@@ -232,7 +206,6 @@ fn main() {
         shard_cross_permille: 50,
         shard_latency: SimDuration::from_millis(1),
         shard_workers: 0,
-        shard_policy: shard_policy(opts.speculate, opts.lookahead_cap),
     };
     if lab.shards > 1 {
         // Sharded runs go through the lab's cell builder; per-request traces

@@ -31,7 +31,7 @@ use std::time::Instant;
 const ALL: &[&str] = &[
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
     "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26", "e27", "e28",
-    "e29", "e30", "a1", "a2", "a3", "a4",
+    "e29", "a1", "a2", "a3", "a4",
 ];
 
 fn list(json: bool) -> ! {
@@ -48,7 +48,7 @@ fn list(json: bool) -> ! {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--seed N] [--jobs N] [--shards N] [--csv DIR] [--html FILE] [--gate BASELINE.json] <e1..e30 | a1..a4 | perf | snap | chaos | all>...\n\
+        "usage: repro [--quick] [--seed N] [--jobs N] [--shards N] [--csv DIR] [--html FILE] [--gate BASELINE.json] <e1..e29 | a1..a4 | perf | snap | chaos | all>...\n\
          e1  platform table          e8  placement comparison (+22% headline)\n\
          e2  TeaStore table          e9  latency at fixed load (−18% headline)\n\
          e3  load curve              e10 SMT study\n\
@@ -64,7 +64,6 @@ fn usage() -> ! {
          e25 trace memory/fidelity   e26 mega-scale overload (100k users)\n\
          e27 warm-started sweeps     e28 shard-count scaling (events/s vs shards)\n\
          e29 chaos sweep: sampled fault plans vs the mitigation grid\n\
-         e30 window-policy sync cost: barriers/sim-s & rollbacks vs cross-traffic\n\
          a1..a4 ablations\n\
          --shards N runs every shardable experiment (see `list --json`) with\n\
               N parallel-in-run cells; unshardable experiments ignore it\n\
@@ -620,34 +619,6 @@ fn main() {
             "e29" => {
                 let r = exp::e29(&config);
                 csv = Some(("e29_chaos_sweep.csv".into(), exp::csv_e29(&r)));
-                r.table
-            }
-            "e30" => {
-                let r = exp::e30(&config);
-                csv = Some(("e30_window_policies.csv".into(), exp::csv_e30(&r)));
-                if let Some(report) = html.as_mut() {
-                    let mut barriers = scaleup::html::LineChart::new(
-                        "barrier crossings per simulated second vs cross-traffic rate",
-                        "cross-cell traffic (permille)",
-                        "barriers/sim-s",
-                    );
-                    for policy in ["conservative", "adaptive", "speculative"] {
-                        barriers = barriers.series(
-                            policy,
-                            r.rows
-                                .iter()
-                                .filter(|p| p.policy == policy)
-                                .map(|p| (f64::from(p.cross_permille), p.barriers_per_sim_sec))
-                                .collect(),
-                        );
-                    }
-                    report.chart("E30: window-policy sync cost", barriers);
-                }
-                if !r.identical {
-                    eprintln!("{}", r.table);
-                    eprintln!("e30 FAILED: window policies produced diverging reports");
-                    std::process::exit(1);
-                }
                 r.table
             }
             "chaos" => {

@@ -10,7 +10,7 @@ use microsvc::{
     mix_seed, AdmissionPolicy, AppSpec, BreakerPolicy, CallNode, Demand, Deployment, Engine,
     EngineParams, FaultPlan, InstanceConfig, InstanceId, LbPolicy, OverloadParams, PriorityPolicy,
     ResilienceParams, RetryBudgetPolicy, RetryPolicy, RunReport, ServiceId, ServiceSpec,
-    ShardSpec, ShardedRun, SyncStats, Tracer, WindowPolicy, DEFAULT_LOOKAHEAD_CAP,
+    ShardSpec, ShardedRun, Tracer,
 };
 use scaleup::placement::{self, Objective, Policy};
 use scaleup::scaling::{self, ScalePoint};
@@ -2396,22 +2396,6 @@ fn mega_run_sharded(
     think: SimDuration,
     shards: u32,
 ) -> (RunReport, f64) {
-    let (report, _, wall) =
-        mega_run_sharded_with(config, users, think, shards, 50, WindowPolicy::Conservative);
-    (report, wall)
-}
-
-/// [`mega_run_sharded`] with the cross-cell traffic rate and the window
-/// policy as sweep axes (E30). Also returns the run's synchronization
-/// counters.
-fn mega_run_sharded_with(
-    config: &Config,
-    users: u64,
-    think: SimDuration,
-    shards: u32,
-    cross_permille: u32,
-    policy: WindowPolicy,
-) -> (RunReport, SyncStats, f64) {
     let lab = &config.lab;
     let replicas = config.baseline_replicas();
     let placed = Policy::Unpinned.deploy(config.store.app(), &lab.topo, &replicas);
@@ -2419,7 +2403,7 @@ fn mega_run_sharded_with(
     let mix: Vec<f64> = app.classes().iter().map(|c| c.weight).collect();
     let spec = ShardSpec {
         cells: shards,
-        cross_permille,
+        cross_permille: 50,
         latency: SimDuration::from_millis(1),
     };
     let cells: Vec<(Engine, ClosedLoop)> = (0..shards)
@@ -2444,16 +2428,12 @@ fn mega_run_sharded_with(
             (engine, load)
         })
         .collect();
-    let mut run = ShardedRun::new(cells, spec).with_policy(policy);
+    let mut run = ShardedRun::new(cells, spec);
     let horizon = SimTime::ZERO + (lab.warmup + lab.measure) * 4;
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
     let start = Instant::now();
     run.run(horizon, workers);
-    (
-        run.report(),
-        run.sync_stats(),
-        start.elapsed().as_secs_f64(),
-    )
+    (run.report(), start.elapsed().as_secs_f64())
 }
 
 /// E28 — shard-count scaling: event rate and speedup vs shard count for the
@@ -2513,153 +2493,6 @@ pub fn e28(config: &Config) -> ShardScaling {
         std::thread::available_parallelism().map_or(1, |n| n.get()),
     );
     ShardScaling { rows, table }
-}
-
-// ---------------------------------------------------------------------- E30
-
-/// One arm of the E30 window-policy sweep.
-#[derive(Debug, Clone)]
-pub struct PolicyPoint {
-    /// Cross-cell traffic rate of this arm (per-mille of submissions).
-    pub cross_permille: u32,
-    /// Window policy name (`conservative` / `adaptive` / `speculative`).
-    pub policy: &'static str,
-    /// The merged run report (must be identical across policies for a
-    /// given cross rate — that's the determinism contract under test).
-    pub report: RunReport,
-    /// Synchronization counters of the run.
-    pub stats: SyncStats,
-    /// Barrier crossings per simulated second. Deterministic per
-    /// (workload, cross rate, policy) — the figure the policies compete on.
-    pub barriers_per_sim_sec: f64,
-    /// Rollbacks per round (0 for conservative and adaptive by
-    /// construction — they never run past a barrier speculatively without
-    /// the fixpoint replaying exactly the affected cells).
-    pub rollback_rate: f64,
-    /// Host wall-clock seconds (display only, host-dependent).
-    pub wall_secs: f64,
-    /// Simulation events per host wall-clock second (host-dependent).
-    pub events_per_sec: f64,
-}
-
-/// E30 result: the cross-traffic × window-policy grid.
-#[derive(Debug, Clone)]
-pub struct WindowPolicySweep {
-    /// One row per (cross rate, policy), cross rates outermost.
-    pub rows: Vec<PolicyPoint>,
-    /// Whether every policy produced an identical report at every cross
-    /// rate (the experiment doubles as an end-to-end determinism check).
-    pub identical: bool,
-    /// Rendered table.
-    pub table: String,
-}
-
-/// E30 — window-policy synchronization cost: barriers per simulated
-/// second, rollback rate, and event rate for the conservative, adaptive,
-/// and speculative window policies across cross-cell traffic rates. The
-/// simulated reports must agree bit-for-bit across policies (rendered in
-/// the verdict line); only the synchronization counters and the wall
-/// clock may differ. Arms run sequentially for the same reason as E28.
-pub fn e30(config: &Config) -> WindowPolicySweep {
-    let shards = 4u32;
-    let users = config.shard_users[0];
-    let think = mega_think(config, users);
-    let cross_rates = [0u32, 10, 50, 200];
-    let policies: [(&'static str, WindowPolicy); 3] = [
-        ("conservative", WindowPolicy::Conservative),
-        (
-            "adaptive",
-            WindowPolicy::Adaptive {
-                cap: DEFAULT_LOOKAHEAD_CAP,
-            },
-        ),
-        (
-            "speculative",
-            WindowPolicy::Speculative {
-                cap: DEFAULT_LOOKAHEAD_CAP,
-            },
-        ),
-    ];
-    let sim_secs = ((config.lab.warmup + config.lab.measure) * 4).as_nanos() as f64 / 1e9;
-    let mut rows: Vec<PolicyPoint> = Vec::new();
-    let mut identical = true;
-    let mut table = format!(
-        "E30: window-policy sync cost ({users} users, {shards} cells, 1ms lookahead, cap {DEFAULT_LOOKAHEAD_CAP})\n cross‰  policy             req/s       events    rounds   barriers  barr/sim-s  rollbacks   replayed   Mev/s\n",
-    );
-    for &cross in &cross_rates {
-        let mut baseline: Option<RunReport> = None;
-        for (name, policy) in policies {
-            let (report, stats, wall_secs) =
-                mega_run_sharded_with(config, users, think, shards, cross, policy);
-            let same = baseline.as_ref().is_none_or(|b| {
-                b.completed == report.completed
-                    && b.events_processed == report.events_processed
-                    && b.mean_latency == report.mean_latency
-                    && b.latency_p99 == report.latency_p99
-                    && b.throughput_rps.to_bits() == report.throughput_rps.to_bits()
-            });
-            identical &= same;
-            if baseline.is_none() {
-                baseline = Some(report.clone());
-            }
-            let barriers_per_sim_sec = stats.barriers as f64 / sim_secs;
-            let rollback_rate = stats.rollbacks as f64 / (stats.rounds.max(1)) as f64;
-            let events_per_sec = report.events_processed as f64 / wall_secs.max(1e-9);
-            let _ = writeln!(
-                table,
-                "{:>6}  {:<14} {:>9.0} {:>12} {:>9} {:>10} {:>11.0} {:>10} {:>10} {:>7.2}{}",
-                cross,
-                name,
-                report.throughput_rps,
-                report.events_processed,
-                stats.rounds,
-                stats.barriers,
-                barriers_per_sim_sec,
-                stats.rollbacks,
-                stats.replayed_events,
-                events_per_sec / 1e6,
-                if same { "" } else { "  REPORT DIVERGED" },
-            );
-            rows.push(PolicyPoint {
-                cross_permille: cross,
-                policy: name,
-                report,
-                stats,
-                barriers_per_sim_sec,
-                rollback_rate,
-                wall_secs,
-                events_per_sec,
-            });
-        }
-    }
-    // Headline: barrier reduction vs conservative at each cross rate.
-    for &cross in &cross_rates {
-        let arm = |p: &str| {
-            rows.iter()
-                .find(|r| r.cross_permille == cross && r.policy == p)
-                .expect("arm just ran")
-                .stats
-                .barriers
-                .max(1)
-        };
-        let conservative = arm("conservative");
-        let _ = writeln!(
-            table,
-            "cross {cross:>3}‰: barriers ÷{:>5.1} adaptive, ÷{:>5.1} speculative (vs conservative)",
-            conservative as f64 / arm("adaptive") as f64,
-            conservative as f64 / arm("speculative") as f64,
-        );
-    }
-    let _ = writeln!(
-        table,
-        "reports across policies: {}\n(barriers/rounds/rollbacks are deterministic per policy; Mev/s and wall are host measurements)",
-        if identical { "identical" } else { "DIVERGED" },
-    );
-    WindowPolicySweep {
-        rows,
-        identical,
-        table,
-    }
 }
 
 /// `repro snap` — end-to-end snapshot/resume identity self-check. Runs the
@@ -3074,7 +2907,6 @@ pub fn catalog() -> Vec<CatalogEntry> {
         e("e27", "warm-started sweeps: one shared checkpoint serves a measurement grid", 2.0, 60.0),
         sh("e28", "shard-count scaling: events/s and speedup vs shards (parallel-in-run)", 20.0, 600.0),
         e("e29", "chaos sweep: sampled fault plans vs the mitigation grid", 30.0, 180.0),
-        e("e30", "window-policy sync cost: barriers/sim-s, rollbacks vs cross-traffic", 20.0, 300.0),
         e("snap", "snapshot/resume identity self-check (writes results/snapshot_quick.bin)", 1.0, 15.0),
         e("chaos", "fault-space search + shrink (writes results/chaos_report.json)", 30.0, 120.0),
         e("lint", "static determinism & invariant pass (simlint)", 0.1, 0.1),
@@ -3463,43 +3295,6 @@ pub fn csv_e28(result: &ShardScaling) -> String {
     csv.finish()
 }
 
-/// CSV of the E30 window-policy sweep.
-pub fn csv_e30(result: &WindowPolicySweep) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "cross_permille",
-        "policy",
-        "throughput_rps",
-        "events",
-        "rounds",
-        "windows",
-        "barriers",
-        "barriers_per_sim_sec",
-        "rollbacks",
-        "replayed_events",
-        "rollback_rate",
-        "wall_secs",
-        "events_per_sec",
-    ]);
-    for p in &result.rows {
-        csv.row(&[
-            &p.cross_permille.to_string(),
-            p.policy,
-            &format!("{:.1}", p.report.throughput_rps),
-            &p.report.events_processed.to_string(),
-            &p.stats.rounds.to_string(),
-            &p.stats.windows.to_string(),
-            &p.stats.barriers.to_string(),
-            &format!("{:.1}", p.barriers_per_sim_sec),
-            &p.stats.rollbacks.to_string(),
-            &p.stats.replayed_events.to_string(),
-            &format!("{:.4}", p.rollback_rate),
-            &format!("{:.3}", p.wall_secs),
-            &format!("{:.0}", p.events_per_sec),
-        ]);
-    }
-    csv.finish()
-}
-
 /// CSV rows of one E27 arm; the cold and warm arms must render identically.
 pub fn csv_e27_arm(rows: &[(u64, SimDuration, RunReport)]) -> String {
     let mut csv = scaleup::report::Csv::new(&[
@@ -3785,7 +3580,7 @@ mod tests {
     #[test]
     fn catalog_covers_every_runnable_experiment() {
         let names: Vec<&str> = catalog().iter().map(|e| e.id).collect();
-        for e in 1..=30 {
+        for e in 1..=29 {
             assert!(names.contains(&format!("e{e}").as_str()), "missing e{e}");
         }
         for a in 1..=4 {
@@ -3794,50 +3589,6 @@ mod tests {
         for extra in ["lint", "snap", "chaos"] {
             assert!(names.contains(&extra), "missing {extra}");
         }
-    }
-
-    #[test]
-    fn e30_policies_agree_and_pay_as_you_go_cuts_barriers() {
-        let mut c = quick();
-        // One small population: the unit test checks the contract, not the
-        // full sweep (that's `repro e30`).
-        c.shard_users = vec![1_000];
-        let sweep = e30(&c);
-        assert!(sweep.identical, "window policies diverged:\n{}", sweep.table);
-        // 4 cross rates × 3 policies.
-        assert_eq!(sweep.rows.len(), 12);
-        let arm = |cross: u32, policy: &str| {
-            sweep
-                .rows
-                .iter()
-                .find(|r| r.cross_permille == cross && r.policy == policy)
-                .expect("arm present")
-        };
-        for r in &sweep.rows {
-            // Conservative never speculates, so it can never roll back.
-            if r.policy == "conservative" {
-                assert_eq!(r.stats.rollbacks, 0, "cross {}", r.cross_permille);
-            }
-        }
-        // With no cross traffic the wide-round policies amortize the
-        // lockstep cost: at least a 4x barrier reduction.
-        let quiet_floor = arm(0, "conservative").stats.barriers;
-        assert!(
-            arm(0, "adaptive").stats.barriers * 4 <= quiet_floor,
-            "adaptive barriers {} vs conservative {quiet_floor}",
-            arm(0, "adaptive").stats.barriers
-        );
-        assert!(
-            arm(0, "speculative").stats.barriers * 4 <= quiet_floor,
-            "speculative barriers {} vs conservative {quiet_floor}",
-            arm(0, "speculative").stats.barriers
-        );
-        // Dense cross traffic must actually exercise the rollback path.
-        assert!(
-            arm(200, "speculative").stats.rollbacks > 0,
-            "expected rollbacks at 200‰:\n{}",
-            sweep.table
-        );
     }
 
     #[test]

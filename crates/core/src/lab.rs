@@ -4,8 +4,8 @@ use crate::placement::{PlacedDeployment, Policy};
 use cputopo::Topology;
 use loadgen::{ClosedLoop, OpenLoop};
 use microsvc::{
-    mix_seed, AppSpec, Deployment, Engine, EngineParams, FaultPlan, LbPolicy, RunReport,
-    ShardSpec, ShardedRun, WindowPolicy,
+    mix_seed, AppSpec, Deployment, Engine, EngineParams, FaultPlan, LbPolicy, RunReport, ShardSpec,
+    ShardedRun,
 };
 use simcore::{SimDuration, SimTime, SnapError, SnapReader, SnapWriter};
 use std::sync::Arc;
@@ -72,10 +72,6 @@ pub struct Lab {
     /// Worker threads for sharded runs; `0` = one per available core.
     /// Never affects results, only wall-clock.
     pub shard_workers: usize,
-    /// Window-synchronization policy for sharded runs (conservative,
-    /// adaptive, or speculative). Never affects results, only how many
-    /// barrier crossings the run spends. Ignored when `shards == 1`.
-    pub shard_policy: WindowPolicy,
 }
 
 impl Lab {
@@ -95,7 +91,6 @@ impl Lab {
             shard_cross_permille: 50,
             shard_latency: SimDuration::from_millis(1),
             shard_workers: 0,
-            shard_policy: WindowPolicy::Conservative,
         }
     }
 
@@ -114,7 +109,6 @@ impl Lab {
             shard_cross_permille: 50,
             shard_latency: SimDuration::from_millis(1),
             shard_workers: 0,
-            shard_policy: WindowPolicy::Conservative,
         }
     }
 
@@ -150,12 +144,6 @@ impl Lab {
     /// Overrides the sharded worker-thread count (`0` = one per core).
     pub fn with_shard_workers(mut self, workers: usize) -> Self {
         self.shard_workers = workers;
-        self
-    }
-
-    /// Overrides the sharded window-synchronization policy.
-    pub fn with_shard_policy(mut self, policy: WindowPolicy) -> Self {
-        self.shard_policy = policy;
         self
     }
 
@@ -245,7 +233,7 @@ impl Lab {
                 (engine, load)
             })
             .collect();
-        ShardedRun::new(cells, self.shard_spec()).with_policy(self.shard_policy)
+        ShardedRun::new(cells, self.shard_spec())
     }
 
     /// Runs a sharded closed-loop measurement; with `checkpoint` set the run
@@ -410,7 +398,7 @@ impl Lab {
                 (engine, load)
             })
             .collect();
-        ShardedRun::new(cells, self.shard_spec()).with_policy(self.shard_policy)
+        ShardedRun::new(cells, self.shard_spec())
     }
 
     /// Runs `app` under an open-loop Poisson load at `rate_rps`.

@@ -2354,16 +2354,12 @@ impl Engine {
         for _ in 0..n_workers {
             worker_jobs.push(Option::<u64>::load(r)?);
         }
-        // The hot slabs reload *in place* so their allocations survive the
-        // restore: the speculative-rollback path (`microsvc::shard`) restores
-        // the same engine once per rollback, and replacing these vectors
-        // would churn the allocator on every one. On error the engine is
-        // discarded (see the method contract), so committing them before the
-        // shape checks below is safe.
-        simcore::snap::load_vec_into(&mut self.jobs, r)?;
-        simcore::snap::load_vec_into(&mut self.free_jobs, r)?;
-        simcore::snap::load_vec_into(&mut self.requests, r)?;
-        simcore::snap::load_vec_into(&mut self.free_requests, r)?;
+        // On error the engine is discarded (see the method contract), so
+        // committing the slabs before the shape checks below is safe.
+        self.jobs = Vec::load(r)?;
+        self.free_jobs = Vec::load(r)?;
+        self.requests = Vec::load(r)?;
+        self.free_requests = Vec::load(r)?;
         let submitted_total = r.u64()?;
         let exec = Vec::<Option<CpuExec>>::load(r)?;
         let next_gen = r.u64()?;

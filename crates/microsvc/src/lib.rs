@@ -90,8 +90,5 @@ pub use overload::{
 };
 pub use metrics::{OverloadTotals, RunReport, ServiceReport};
 pub use resilience::{BreakerPolicy, BreakerState, CircuitBreaker, ResilienceParams, RetryPolicy};
-pub use shard::{
-    mix_seed, ShardDriver, ShardSpec, ShardedRun, SnapDriver, SyncStats, WindowPolicy,
-    DEFAULT_LOOKAHEAD_CAP,
-};
+pub use shard::{mix_seed, ShardDriver, ShardSpec, ShardedRun, SnapDriver, SyncStats, WindowPolicy};
 pub use trace::{RequestTrace, Span, Tracer};

@@ -17,21 +17,9 @@
 //! value types, so the result is byte-identical regardless of how many
 //! worker threads carried the cells or how their phase-A writes interleaved.
 //!
-//! Window synchronization is **pay-as-you-go** ([`WindowPolicy`]). The
-//! conservative policy crosses a barrier at every base window, traffic or
-//! not. The adaptive policy widens rounds geometrically across message-free
-//! rounds (snapping back to one window on the first cross-cell send); the
-//! speculative policy always runs rounds of a fixed width. Rounds wider
-//! than one window execute *optimistically* past the intermediate barriers:
-//! if a message lands inside the speculated region, the receiving cell
-//! rolls back to a cheap in-RAM micro-snapshot (the bare-mode fast path of
-//! `simcore::snap`) and replays, injecting each message at exactly the
-//! barrier instant the conservative loop would have used — so the merged
-//! result is byte-identical under every policy.
-//!
 //! Determinism contract: for a fixed `(seed, spec, workload)` the run is
-//! byte-reproducible across reruns, worker-thread counts, window policies,
-//! and snapshot/resume at any barrier. The *cell count* is part of the
+//! byte-reproducible across reruns, worker-thread counts and
+//! snapshot/resume at any barrier. The *cell count* is part of the
 //! workload's identity — `C` cells draw from `C` independent RNG streams —
 //! so golden hashes are recorded per shard count; `--shards 1` runs the
 //! untouched serial engine and reproduces the historical goldens by
@@ -175,53 +163,31 @@ impl Default for ShardSpec {
     }
 }
 
-/// Default round-width cap, in base windows, for the adaptive and
-/// speculative policies (the `--lookahead-cap` default).
-pub const DEFAULT_LOOKAHEAD_CAP: u32 = 32;
-
-/// Window-synchronization policy of a sharded run. Every policy produces
-/// byte-identical simulation results; they differ only in how many barrier
-/// crossings — and, for wide rounds, rollbacks — they spend getting there.
+/// Window-synchronization policy of a sharded run. Conservative lookahead
+/// is the only sync loop; the type stays only so the benchmark harness
+/// compiles unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WindowPolicy {
     /// One barrier round per base window: the always-on lockstep loop.
     #[default]
     Conservative,
-    /// Pay-as-you-go: rounds widen geometrically (×2 per message-free
-    /// round, up to `cap` base windows) and snap back to a single window
-    /// on the first cross-cell send. Quiet stretches cross one barrier
-    /// instead of many; rounds wider than one window run speculatively
-    /// and micro-rollback if a message lands inside them.
-    Adaptive {
-        /// Maximum round width, in base windows.
-        cap: u32,
-    },
-    /// Fixed wide rounds: always `cap` base windows per round, regardless
-    /// of traffic. Maximum barrier elision, paid for with rollback-replay
-    /// work proportional to the cross-traffic rate.
-    Speculative {
-        /// Round width, in base windows.
-        cap: u32,
-    },
 }
 
 /// Synchronization counters of a sharded run, accumulated across
 /// [`ShardedRun::run`] calls. Deterministic: a pure function of
-/// (seed, spec, workload, policy), independent of the worker count.
+/// (seed, spec, workload), independent of the worker count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncStats {
-    /// Barrier rounds executed (== windows under the conservative policy).
+    /// Barrier rounds executed (one per window).
     pub rounds: u64,
     /// Base windows covered by those rounds.
     pub windows: u64,
     /// Lockstep barrier crossings per worker (every worker crosses the
-    /// same sequence, so this is policy cost, not thread count × cost).
+    /// same sequence, so this is sync cost, not thread count × cost).
     pub barriers: u64,
-    /// Micro-rollbacks: a speculated region was invalidated by a late
-    /// cross-cell message and re-executed from its round-start snapshot.
+    /// Always zero; stays only so the benchmark fingerprints are unchanged.
     pub rollbacks: u64,
-    /// Events discarded by those rollbacks (optimistic work thrown away
-    /// and re-done during replay).
+    /// Always zero; stays only so the benchmark fingerprints are unchanged.
     pub replayed_events: u64,
 }
 
@@ -251,14 +217,6 @@ pub struct ShardState {
     pending: BinaryHeap<Reverse<Msg>>,
     /// Crossed requests in flight, keyed by home-local client id.
     parked: DetHashMap<u64, Parked>,
-    /// True while the cell executes a speculative replay whose injected
-    /// message set is still provisional. A fixpoint iteration may inject a
-    /// reply whose call a concurrent peer replay withdraws in the same
-    /// scan; such a *stale* reply finds no parked request and is dropped
-    /// (deterministically) instead of panicking — the trajectory that
-    /// commits has field-identical inputs to the conservative schedule, so
-    /// no drop ever survives convergence. Transient: never snapshotted.
-    optimistic: bool,
 }
 
 impl ShardState {
@@ -274,7 +232,6 @@ impl ShardState {
             outbox: Vec::new(),
             pending: BinaryHeap::new(),
             parked: DetHashMap::default(),
-            optimistic: false,
         }
     }
 }
@@ -424,28 +381,12 @@ impl<D: Driver> Driver for ShardDriver<D> {
                     class,
                     outcome,
                 } => {
-                    // A reply is *stale* when no matching request is parked:
-                    // only possible inside a speculative replay, where the
-                    // call it answers was withdrawn by a peer's concurrent
-                    // replay. Drop it — the fixpoint re-runs this cell until
-                    // its injected set is final, and final sets never
-                    // contain orphans.
-                    let stale = !matches!(
-                        self.st.parked.get(&client),
-                        Some(p) if p.class == class
-                    );
-                    if stale {
-                        assert!(
-                            self.st.optimistic,
-                            "reply for a request that was never crossed"
-                        );
-                        return;
-                    }
                     let parked = self
                         .st
                         .parked
                         .remove(&client)
-                        .expect("presence checked above");
+                        .filter(|p| p.class == class)
+                        .expect("reply for a request that was never crossed");
                     let resp = ResponseInfo {
                         request: RequestId(SYNTH_REQ_BASE),
                         client: ClientId(client),
@@ -498,171 +439,10 @@ pub trait SnapDriver: Driver {
     fn driver_snap_restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
-/// One cell: a serial engine plus its wrapped driver, and the reusable
-/// speculation scratch (micro-snapshot buffer, replay bookkeeping). The
-/// scratch buffers are warm after the first wide round — steady-state
-/// speculation allocates nothing.
+/// One cell: a serial engine plus its wrapped driver.
 struct Cell<D> {
     engine: Engine,
     driver: ShardDriver<D>,
-    /// Round-start micro-snapshot (bare envelope; see `simcore::snap`).
-    snap_buf: Vec<u8>,
-    /// `events_processed` at the last micro-snapshot.
-    ev_at_snap: u64,
-    /// Early messages applied by this cell's latest replay of the round.
-    last_early: Vec<Msg>,
-    /// Gather/sort buffer for this cell's inbound messages.
-    scratch: Vec<Msg>,
-    /// Sort buffer for the pending heap inside micro-snapshots.
-    pending_scratch: Vec<Msg>,
-    /// Sort buffer for parked client ids inside micro-snapshots.
-    client_scratch: Vec<u64>,
-    /// Cumulative micro-rollbacks of this cell.
-    rollbacks: u64,
-    /// Cumulative events discarded by this cell's rollbacks.
-    replayed_events: u64,
-}
-
-impl<D: SnapDriver> Cell<D> {
-    // simlint: hotpath(begin) — micro-snapshot save/restore and rollback
-    // replay run once (or more, under contention) per wide round per cell.
-    // Bare-mode snapshots reuse `snap_buf` and the sort scratches; no
-    // allocation after warm-up.
-    /// Captures the cell into its reusable bare buffer — the speculation
-    /// checkpoint taken at the start of every wide round.
-    fn micro_save(&mut self) {
-        self.ev_at_snap = self.engine.events_processed();
-        let mut w = SnapWriter::bare(std::mem::take(&mut self.snap_buf));
-        self.engine.snap_save(&mut w);
-        self.driver.inner.driver_snap_save(&mut w);
-        save_shard_state(
-            &self.driver.st,
-            &mut w,
-            &mut self.pending_scratch,
-            &mut self.client_scratch,
-        );
-        self.snap_buf = w.into_bare();
-    }
-
-    /// Rolls the cell back to its last [`Cell::micro_save`]. Bare
-    /// snapshots restore into the engine that wrote them moments ago, so
-    /// a decode error here is a bug, not an I/O condition.
-    fn micro_restore(&mut self) {
-        self.rollbacks += 1;
-        self.replayed_events += self.engine.events_processed() - self.ev_at_snap;
-        let buf = std::mem::take(&mut self.snap_buf);
-        let mut r = SnapReader::bare(&buf);
-        self.engine
-            .snap_restore(&mut r)
-            .expect("micro-snapshot restores into its own engine");
-        self.driver
-            .inner
-            .driver_snap_restore(&mut r)
-            .expect("micro-snapshot restores into its own driver");
-        restore_shard_state(&mut self.driver.st, &mut r)
-            .expect("micro-snapshot restores its own shard state");
-        self.snap_buf = buf;
-    }
-
-    /// Rolls the cell back to its round-start micro-snapshot and replays
-    /// the round, injecting **all** of `scratch` (its gathered early
-    /// inbound messages in merge order) at exactly the barrier instants
-    /// the conservative loop would have used: run to the group's barrier,
-    /// inject the group, continue. The injected set is optimistic — a
-    /// peer's concurrent replay may withdraw some of it — so the driver
-    /// runs in stale-tolerant mode ([`ShardState::optimistic`]) and the
-    /// fixpoint re-replays this cell until the set it applied is
-    /// field-identical to the final one. `round_first` re-runs
-    /// [`Driver::start`] when the discarded attempt had performed it.
-    fn rollback_replay(&mut self, window: SimDuration, target: SimTime, round_first: bool) {
-        self.micro_restore();
-        self.driver.st.optimistic = true;
-        let cut = self.scratch.len();
-        let mut need_start = round_first;
-        let mut i = 0;
-        loop {
-            let seg_end = if i == cut {
-                target
-            } else {
-                inject_barrier(&self.scratch[i], window, target)
-            };
-            if !self.engine.is_stopped() {
-                if need_start {
-                    self.engine.run(&mut self.driver, seg_end);
-                    need_start = false;
-                } else {
-                    self.engine.run_resumed(&mut self.driver, seg_end);
-                }
-            }
-            if i == cut {
-                break;
-            }
-            while i < cut && inject_barrier(&self.scratch[i], window, target) == seg_end {
-                let msg = self.scratch[i];
-                self.engine.inject_timer_at(msg.arrival, SHARD_TOKEN);
-                self.driver.st.pending.push(Reverse(msg));
-                i += 1;
-            }
-        }
-        self.driver.st.optimistic = false;
-        self.last_early.clear();
-        self.last_early.extend_from_slice(&self.scratch);
-    }
-    // simlint: hotpath(end)
-}
-
-/// The barrier instant at which the conservative loop would inject `msg`
-/// into its destination: the end of the base window containing the send
-/// instant (`arrival - latency`; the latency doubles as the window),
-/// clamped to the round target — an `until` cut injects at the cut,
-/// exactly like the conservative loop's short final window. Messages sent
-/// at time zero take the *first* barrier (`window`), matching a loop that
-/// starts at `window_end = ZERO + window`.
-fn inject_barrier(msg: &Msg, window: SimDuration, target: SimTime) -> SimTime {
-    let w = window.as_nanos();
-    let sent = msg.arrival.as_nanos().saturating_sub(w);
-    let beta = sent.div_ceil(w).max(1).saturating_mul(w);
-    target.min(SimTime::from_nanos(beta))
-}
-
-/// Round width for the adaptive policy after `quiet` message-free rounds.
-fn adaptive_width(quiet: u32, cap: u32) -> u32 {
-    1u32.checked_shl(quiet).map_or(cap, |g| g.min(cap))
-}
-
-/// First barrier instant at which a cell's gathered early-message set
-/// differs from the set its current trajectory already reflects, or
-/// `None` when they are field-identical. `Msg`'s `PartialEq` compares
-/// only the merge key, but the fixpoint must also notice a changed
-/// payload or destination — a re-executed source cell can reach a
-/// different outcome for the same `(arrival, src, seq)` key. Both slices
-/// are sorted by merge key and [`inject_barrier`] is monotone in it, so
-/// the first positional mismatch carries the smallest differing barrier.
-fn first_divergence(
-    gathered: &[Msg],
-    applied: &[Msg],
-    window: SimDuration,
-    target: SimTime,
-) -> Option<SimTime> {
-    let n = gathered.len().min(applied.len());
-    for (g, a) in gathered[..n].iter().zip(&applied[..n]) {
-        let same = g.arrival == a.arrival
-            && g.src == a.src
-            && g.dst == a.dst
-            && g.seq == a.seq
-            && g.payload == a.payload;
-        if !same {
-            let bg = inject_barrier(g, window, target);
-            let ba = inject_barrier(a, window, target);
-            return Some(bg.min(ba));
-        }
-    }
-    let extra = match gathered.len().cmp(&applied.len()) {
-        std::cmp::Ordering::Less => &applied[n],
-        std::cmp::Ordering::Greater => &gathered[n],
-        std::cmp::Ordering::Equal => return None,
-    };
-    Some(inject_barrier(extra, window, target))
 }
 
 /// A sharded run: `C` cells advanced in lockstep lookahead windows by up to
@@ -674,9 +454,6 @@ pub struct ShardedRun<D> {
     /// Next barrier instant (the exclusive end of the current window).
     window_end: SimTime,
     started: bool,
-    /// Window-synchronization policy; not part of the run's identity (any
-    /// policy yields byte-identical results), so not snapshotted.
-    policy: WindowPolicy, // simlint: allow(S1) — see above: not run identity
     stats: SyncStats, // simlint: allow(S1) — observability counters, not run identity
 }
 
@@ -705,14 +482,6 @@ impl<D: Driver + Send> ShardedRun<D> {
             .map(|(i, (engine, inner))| Cell {
                 engine,
                 driver: ShardDriver::new(inner, i as u32, &spec),
-                snap_buf: Vec::new(),
-                ev_at_snap: 0,
-                last_early: Vec::new(),
-                scratch: Vec::new(),
-                pending_scratch: Vec::new(),
-                client_scratch: Vec::new(),
-                rollbacks: 0,
-                replayed_events: 0,
             })
             .collect();
         ShardedRun {
@@ -720,28 +489,14 @@ impl<D: Driver + Send> ShardedRun<D> {
             spec,
             window_end: SimTime::ZERO + spec.latency,
             started: false,
-            policy: WindowPolicy::default(),
             stats: SyncStats::default(),
         }
     }
 
-    /// The window-synchronization policy (default conservative).
-    pub fn policy(&self) -> WindowPolicy {
-        self.policy
-    }
-
-    /// Sets the policy for subsequent [`ShardedRun::run`] calls. Any
-    /// policy yields byte-identical simulation results; only the
-    /// synchronization cost (and [`SyncStats`]) changes, so switching
-    /// mid-run — e.g. across a checkpoint/resume boundary — is sound.
-    pub fn set_policy(&mut self, policy: WindowPolicy) {
-        self.policy = policy;
-    }
-
-    /// Builder form of [`ShardedRun::set_policy`].
+    /// Builder kept only so the benchmark harness compiles unchanged:
+    /// conservative lookahead is the only policy, so this returns `self`.
     #[must_use]
-    pub fn with_policy(mut self, policy: WindowPolicy) -> Self {
-        self.policy = policy;
+    pub fn with_policy(self, _policy: WindowPolicy) -> Self {
         self
     }
 
@@ -786,9 +541,15 @@ impl<D: Driver + Send> ShardedRun<D> {
         Engine::merged_report(&engines)
     }
 
-    /// The always-on lockstep loop: one barrier round per base window.
-    /// Byte-identical for any `workers >= 1`; see [`ShardedRun::run`].
-    fn run_conservative(&mut self, until: SimTime, workers: usize) {
+    /// Advances the run until `until`, every cell stops, or the whole
+    /// system goes idle — whichever comes first — using up to `workers`
+    /// threads, one barrier round per base window. The result is
+    /// byte-identical for any `workers >= 1` (see DESIGN.md § "Sharded
+    /// execution" for the argument).
+    ///
+    /// May be called repeatedly (the run resumes at the next window
+    /// barrier), including after [`ShardedRun::snap_restore`].
+    pub fn run(&mut self, until: SimTime, workers: usize) {
         let n = self.cells.len();
         let workers = workers.clamp(1, n);
         let window = self.spec.latency;
@@ -883,258 +644,6 @@ impl<D: Driver + Send> ShardedRun<D> {
 }
 
 impl<D: SnapDriver + Send> ShardedRun<D> {
-    /// Advances the run until `until`, every cell stops, or the whole
-    /// system goes idle — whichever comes first — using up to `workers`
-    /// threads under the configured [`WindowPolicy`]. The result is
-    /// byte-identical for any `workers >= 1` and any policy (see
-    /// DESIGN.md § "Sharded execution" for the argument).
-    ///
-    /// May be called repeatedly (the run resumes at the next window
-    /// barrier), including after [`ShardedRun::snap_restore`].
-    pub fn run(&mut self, until: SimTime, workers: usize) {
-        match self.policy {
-            WindowPolicy::Conservative => self.run_conservative(until, workers),
-            WindowPolicy::Adaptive { cap } => self.run_rounds(until, workers, cap.max(1), true),
-            WindowPolicy::Speculative { cap } => {
-                self.run_rounds(until, workers, cap.max(1), false);
-            }
-        }
-    }
-
-    /// The wide-round loop shared by the adaptive and speculative
-    /// policies. A **round** is `g` consecutive base windows executed
-    /// optimistically in one go (`g` fixed at `cap` for speculative,
-    /// adaptive per [`adaptive_width`]); messages that land *inside* a
-    /// round trigger micro-rollback of the receiving cells and a replay
-    /// that injects each message at exactly the conservative barrier
-    /// instant ([`inject_barrier`]). Single-window rounds skip the
-    /// snapshot and the fixpoint entirely — two barriers, the same cost
-    /// as the conservative loop.
-    fn run_rounds(&mut self, until: SimTime, workers: usize, cap: u32, adaptive: bool) {
-        let n = self.cells.len();
-        let workers = workers.clamp(1, n);
-        let window = self.spec.latency;
-        let start_t = self.window_end;
-        let started = self.started;
-        // Outboxes are indexed by *source* cell and owner-written, so a
-        // replay can withdraw messages by republishing its slot wholesale.
-        let round_out: Vec<Mutex<Vec<Msg>>> = (0..n).map(|_| Mutex::new(Vec::new())).collect();
-        // Per-cell first-divergence barrier (nanos; `u64::MAX` = clean),
-        // owner-written every scan, read by all workers after the barrier.
-        let dirty_at: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-        let idle: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-        let final_t = AtomicU64::new(start_t.as_nanos());
-        let sync_rounds = AtomicU64::new(0);
-        let sync_windows = AtomicU64::new(0);
-        let sync_barriers = AtomicU64::new(0);
-        let chunk_len = n.div_ceil(workers);
-        let barrier = Barrier::new(n.div_ceil(chunk_len));
-
-        std::thread::scope(|s| {
-            for (wi, chunk) in self.cells.chunks_mut(chunk_len).enumerate() {
-                let base = wi * chunk_len;
-                let round_out = &round_out;
-                let dirty_at = &dirty_at;
-                let idle = &idle;
-                let barrier = &barrier;
-                let final_t = &final_t;
-                let sync_rounds = &sync_rounds;
-                let sync_windows = &sync_windows;
-                let sync_barriers = &sync_barriers;
-                s.spawn(move || {
-                    // simlint: hotpath(begin) — window-advance and merge
-                    // regions: per-round work over pre-sized shared slots
-                    // and per-cell scratch buffers.
-                    // `t` is the end of the round's first base window;
-                    // every barrier the conservative loop would cross lies
-                    // on the grid {k·window, k ≥ 1} and rounds start on it.
-                    let mut t = start_t;
-                    let mut first = !started;
-                    // Message-free round streak. Derived from the merged
-                    // message counts every worker observes identically, so
-                    // the round width is a pure function of (spec, message
-                    // history) — never of thread scheduling.
-                    let mut quiet: u32 = 0;
-                    let (mut rounds, mut windows, mut barriers) = (0u64, 0u64, 0u64);
-                    loop {
-                        let g = if adaptive { adaptive_width(quiet, cap) } else { cap };
-                        let round_end = t + window * u64::from(g - 1);
-                        let target = round_end.min(until);
-                        let round_first = first;
-                        // Phase A: micro-snapshot (wide rounds only — even
-                        // stopped cells, so repeated replays never see a
-                        // stale injection), run optimistically to the round
-                        // target, publish the outbox under this cell's own
-                        // source slot.
-                        for (ci, cell) in chunk.iter_mut().enumerate() {
-                            if g > 1 {
-                                cell.micro_save();
-                            }
-                            cell.last_early.clear();
-                            if !cell.engine.is_stopped() {
-                                if first {
-                                    cell.engine.run(&mut cell.driver, target);
-                                } else {
-                                    cell.engine.run_resumed(&mut cell.driver, target);
-                                }
-                            }
-                            let mut out = round_out[base + ci].lock().expect("round outbox");
-                            out.clear();
-                            out.extend(cell.driver.st.outbox.drain(..));
-                        }
-                        first = false;
-                        barriers += 1;
-                        barrier.wait();
-                        // Speculation fixpoint (wide rounds only): find
-                        // messages landing *inside* the round, roll the
-                        // receiving cells back and replay them with those
-                        // messages injected at their conservative barrier
-                        // instants. Injection is *optimistic*: a replay
-                        // applies the full gathered set even though later
-                        // entries may still be withdrawn by a peer's
-                        // concurrent replay (the driver drops the resulting
-                        // stale replies; see [`ShardState::optimistic`]).
-                        // Convergence is by window-prefix induction: after
-                        // scan k every message injected at the first k base
-                        // barriers is final — wrong later injections cannot
-                        // perturb a trajectory before their own instant —
-                        // so a g-window round fixpoints within g+1 read
-                        // scans. In practice it converges in ~the depth of
-                        // the round's cross-cell causal chains (a call and
-                        // its reply: two), independent of g, which is what
-                        // makes wide rounds pay off under dense traffic.
-                        if g > 1 {
-                            let mut scans = 0u32;
-                            loop {
-                                scans += 1;
-                                assert!(
-                                    scans <= g + 1,
-                                    "speculation fixpoint failed to converge in a {g}-window round"
-                                );
-                                // Read sub-phase: gather each owned cell's
-                                // early inbound messages in merge order and
-                                // publish where (if anywhere) they diverge
-                                // from the applied set.
-                                for (ci, cell) in chunk.iter_mut().enumerate() {
-                                    let me = (base + ci) as u32;
-                                    cell.scratch.clear();
-                                    for out in round_out {
-                                        let out = out.lock().expect("round outbox");
-                                        for msg in out.iter() {
-                                            if msg.dst == me
-                                                && inject_barrier(msg, window, target) < target
-                                            {
-                                                cell.scratch.push(*msg);
-                                            }
-                                        }
-                                    }
-                                    cell.scratch.sort_unstable();
-                                    let div = first_divergence(
-                                        &cell.scratch,
-                                        &cell.last_early,
-                                        window,
-                                        target,
-                                    )
-                                    .map_or(u64::MAX, |b| b.as_nanos());
-                                    dirty_at[base + ci].store(div, Ordering::Release);
-                                }
-                                barriers += 1;
-                                barrier.wait();
-                                // Every worker reads the same slots, so the
-                                // replay selection cannot depend on the
-                                // worker count.
-                                if dirty_at
-                                    .iter()
-                                    .all(|d| d.load(Ordering::Acquire) == u64::MAX)
-                                {
-                                    break;
-                                }
-                                // Write sub-phase: owners replay every cell
-                                // whose gathered set diverged and republish
-                                // its source slot wholesale — a replayed
-                                // cell may *withdraw* messages its discarded
-                                // speculation sent.
-                                for (ci, cell) in chunk.iter_mut().enumerate() {
-                                    if dirty_at[base + ci].load(Ordering::Acquire) != u64::MAX {
-                                        cell.rollback_replay(window, target, round_first);
-                                        let mut out =
-                                            round_out[base + ci].lock().expect("round outbox");
-                                        out.clear();
-                                        out.extend(cell.driver.st.outbox.drain(..));
-                                    }
-                                }
-                                barriers += 1;
-                                barrier.wait();
-                            }
-                        }
-                        // End of round: count the round's merged traffic
-                        // (drives the adaptive width; the slots are frozen
-                        // until the barrier below, so every worker counts
-                        // the same value), inject the on-barrier messages
-                        // in merge order, and probe for idleness.
-                        let mut round_msgs = 0usize;
-                        for (ci, cell) in chunk.iter_mut().enumerate() {
-                            let me = (base + ci) as u32;
-                            cell.scratch.clear();
-                            for out in round_out {
-                                let out = out.lock().expect("round outbox");
-                                if ci == 0 {
-                                    round_msgs += out.len();
-                                }
-                                for msg in out.iter() {
-                                    if msg.dst == me
-                                        && inject_barrier(msg, window, target) >= target
-                                    {
-                                        cell.scratch.push(*msg);
-                                    }
-                                }
-                            }
-                            cell.scratch.sort_unstable();
-                            let Cell { engine, driver, scratch, .. } = cell;
-                            for msg in scratch.iter() {
-                                engine.inject_timer_at(msg.arrival, SHARD_TOKEN);
-                                driver.st.pending.push(Reverse(*msg));
-                            }
-                            let cell_idle = cell.engine.is_stopped()
-                                || cell.engine.next_event_time().is_none();
-                            idle[base + ci].store(cell_idle, Ordering::Release);
-                        }
-                        barriers += 1;
-                        barrier.wait();
-                        rounds += 1;
-                        windows += u64::from(g);
-                        // Every worker sees identical flags and counted the
-                        // same round traffic, so neither the stop decision
-                        // nor the next round's width can depend on the
-                        // worker count.
-                        if target >= until
-                            || idle.iter().all(|f| f.load(Ordering::Acquire))
-                        {
-                            if base == 0 {
-                                final_t.store(round_end.as_nanos(), Ordering::Release);
-                                sync_rounds.store(rounds, Ordering::Release);
-                                sync_windows.store(windows, Ordering::Release);
-                                sync_barriers.store(barriers, Ordering::Release);
-                            }
-                            break;
-                        }
-                        quiet = if adaptive && round_msgs == 0 { quiet + 1 } else { 0 };
-                        t = round_end + window;
-                    }
-                    // simlint: hotpath(end)
-                });
-            }
-        });
-
-        self.window_end = SimTime::from_nanos(final_t.load(Ordering::Acquire));
-        self.started = true;
-        self.stats.rounds += sync_rounds.load(Ordering::Acquire);
-        self.stats.windows += sync_windows.load(Ordering::Acquire);
-        self.stats.barriers += sync_barriers.load(Ordering::Acquire);
-        self.stats.rollbacks = self.cells.iter().map(|c| c.rollbacks).sum();
-        self.stats.replayed_events = self.cells.iter().map(|c| c.replayed_events).sum();
-    }
-
     /// Serializes the whole sharded run at a window barrier: spec
     /// fingerprint, windowing cursor, then per cell the engine snapshot,
     /// the inner driver's state and the shard bookkeeping (pending
@@ -1150,12 +659,10 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
         w.u64(self.spec.latency.as_nanos());
         w.u64(self.window_end.as_nanos());
         w.bool(self.started);
-        let mut pending_scratch = Vec::new();
-        let mut client_scratch = Vec::new();
         for cell in &self.cells {
             cell.engine.snap_save(w);
             cell.driver.inner.driver_snap_save(w);
-            save_shard_state(&cell.driver.st, w, &mut pending_scratch, &mut client_scratch);
+            save_shard_state(&cell.driver.st, w);
         }
     }
 
@@ -1188,17 +695,8 @@ impl<D: SnapDriver + Send> ShardedRun<D> {
     }
 }
 
-/// Serializes one cell's shard bookkeeping. Shared by the durable snapshot
-/// ([`ShardedRun::snap_save`]) and the per-round micro-snapshot;
-/// `pending_scratch`/`client_scratch` are reusable sort buffers so the
-/// micro-snapshot path stays allocation-free after warm-up. The byte
-/// layout is identical on both paths.
-fn save_shard_state(
-    st: &ShardState,
-    w: &mut SnapWriter,
-    pending_scratch: &mut Vec<Msg>,
-    client_scratch: &mut Vec<u64>,
-) {
+/// Serializes one cell's shard bookkeeping for [`ShardedRun::snap_save`].
+fn save_shard_state(st: &ShardState, w: &mut SnapWriter) {
     assert!(
         st.outbox.is_empty(),
         "snapshot must be taken at a barrier (outbox drained)"
@@ -1207,11 +705,10 @@ fn save_shard_state(
     w.u64(st.submit_seq);
     w.u64(st.msg_seq);
     w.u64(st.synth_seq);
-    pending_scratch.clear();
-    pending_scratch.extend(st.pending.iter().map(|r| r.0));
-    pending_scratch.sort_unstable();
-    w.usize(pending_scratch.len());
-    for msg in pending_scratch.iter() {
+    let mut pending: Vec<Msg> = st.pending.iter().map(|r| r.0).collect();
+    pending.sort_unstable();
+    w.usize(pending.len());
+    for msg in &pending {
         w.u64(msg.arrival.as_nanos());
         w.u32(msg.src);
         w.u32(msg.dst);
@@ -1234,11 +731,10 @@ fn save_shard_state(
             }
         }
     }
-    client_scratch.clear();
-    client_scratch.extend(st.parked.keys().copied());
-    client_scratch.sort_unstable();
-    w.usize(client_scratch.len());
-    for &client in client_scratch.iter() {
+    let mut clients: Vec<u64> = st.parked.keys().copied().collect();
+    clients.sort_unstable();
+    w.usize(clients.len());
+    for &client in &clients {
         let p = st.parked[&client];
         w.u64(client);
         w.u32(p.class);
@@ -1369,101 +865,6 @@ mod tests {
             assert_eq!(encode_outcome(decode_outcome(code).unwrap()), code);
         }
         assert!(decode_outcome(7).is_err());
-    }
-
-    #[test]
-    fn inject_barrier_matches_conservative_windows() {
-        let w = SimDuration::from_millis(1);
-        let far = SimTime::from_nanos(u64::MAX);
-        let m = |sent_ns: u64| Msg {
-            arrival: SimTime::from_nanos(sent_ns) + w,
-            src: 0,
-            dst: 1,
-            seq: 0,
-            payload: Payload::Call { client: 0, class: 0 },
-        };
-        // Sent mid-window → the end of that window.
-        assert_eq!(inject_barrier(&m(1), w, far), SimTime::from_nanos(1_000_000));
-        assert_eq!(
-            inject_barrier(&m(999_999), w, far),
-            SimTime::from_nanos(1_000_000)
-        );
-        // Sent exactly on a barrier → that barrier (windows are
-        // half-open below, closed above, matching `Engine::run(until)`).
-        assert_eq!(
-            inject_barrier(&m(1_000_000), w, far),
-            SimTime::from_nanos(1_000_000)
-        );
-        assert_eq!(
-            inject_barrier(&m(1_000_001), w, far),
-            SimTime::from_nanos(2_000_000)
-        );
-        // Sent at time zero (before the first barrier) → the first barrier.
-        assert_eq!(inject_barrier(&m(0), w, far), SimTime::from_nanos(1_000_000));
-        // An `until` cut clamps to the cut, like the final short window.
-        let cut = SimTime::from_nanos(1_500_000);
-        assert_eq!(inject_barrier(&m(1_200_000), w, cut), cut);
-    }
-
-    #[test]
-    fn adaptive_width_doubles_and_caps() {
-        let widths: Vec<u32> = (0..8).map(|q| adaptive_width(q, 32)).collect();
-        assert_eq!(widths, vec![1, 2, 4, 8, 16, 32, 32, 32]);
-        // Shift overflow saturates at the cap rather than wrapping.
-        assert_eq!(adaptive_width(40, 32), 32);
-        assert_eq!(adaptive_width(2, 1), 1);
-    }
-
-    #[test]
-    fn first_divergence_compares_every_field() {
-        let w = SimDuration::from_millis(1);
-        let far = SimTime::from_nanos(u64::MAX);
-        let m = Msg {
-            arrival: SimTime::from_nanos(5) + w,
-            src: 1,
-            dst: 2,
-            seq: 3,
-            payload: Payload::Call { client: 7, class: 0 },
-        };
-        let mut other = m;
-        other.payload = Payload::Reply {
-            client: 7,
-            class: 0,
-            outcome: Outcome::Ok,
-        };
-        // Same merge key — `PartialEq` can't tell them apart...
-        assert_eq!(m, other);
-        // ...but the fixpoint must.
-        assert_eq!(first_divergence(&[m], &[m], w, far), None);
-        assert_eq!(
-            first_divergence(&[m], &[other], w, far),
-            Some(inject_barrier(&m, w, far))
-        );
-        // A missing or extra trailing message diverges at its own barrier.
-        assert_eq!(
-            first_divergence(&[m], &[], w, far),
-            Some(inject_barrier(&m, w, far))
-        );
-        assert_eq!(
-            first_divergence(&[], &[m], w, far),
-            Some(inject_barrier(&m, w, far))
-        );
-        // With a common prefix, the divergence is the first mismatch —
-        // and the smaller-keyed candidate's barrier wins, so the reported
-        // instant never overshoots the true first difference.
-        let mut late = m;
-        late.arrival = SimTime::from_nanos(3_000_000) + w;
-        late.seq = 9;
-        let mut later = late;
-        later.arrival = SimTime::from_nanos(7_000_000) + w;
-        assert_eq!(
-            first_divergence(&[m, late], &[m, later], w, far),
-            Some(inject_barrier(&late, w, far))
-        );
-        assert_eq!(
-            first_divergence(&[m, late], &[m], w, far),
-            Some(inject_barrier(&late, w, far))
-        );
     }
 
     #[test]

@@ -78,5 +78,5 @@ pub mod time;
 pub use calendar::{Calendar, EventToken};
 pub use detmap::{DetHashMap, DetHashSet, DetState};
 pub use rng::{Rng, RngFactory};
-pub use snap::{load_vec_into, Snap, SnapError, SnapReader, SnapWriter};
+pub use snap::{Snap, SnapError, SnapReader, SnapWriter};
 pub use time::{SimDuration, SimTime};

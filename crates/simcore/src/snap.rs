@@ -136,27 +136,6 @@ impl SnapWriter {
         SnapWriter { buf }
     }
 
-    /// A *bare* writer for in-RAM micro-snapshots: no magic, no version, no
-    /// trailer. The caller hands back the buffer from the previous cycle and
-    /// the writer clears it, keeping the allocation — after the first
-    /// snapshot warms the buffer up, a save cycle performs no heap
-    /// allocation in this layer. Close with [`SnapWriter::into_bare`];
-    /// reopen with [`SnapReader::bare`].
-    ///
-    /// Bare buffers never leave RAM: they carry no checksum and no version,
-    /// so they must only be read back by the same process that wrote them
-    /// (the speculative-rollback path in `microsvc::shard`).
-    pub fn bare(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        SnapWriter { buf }
-    }
-
-    /// Closes a [`SnapWriter::bare`] writer: returns the raw body with no
-    /// trailer and no checksum, ready for [`SnapReader::bare`].
-    pub fn into_bare(self) -> Vec<u8> {
-        self.buf
-    }
-
     /// Opens a named section; [`SnapReader::section`] verifies the name.
     pub fn section(&mut self, name: &str) {
         self.buf.push(SECTION_TAG);
@@ -269,15 +248,6 @@ impl<'a> SnapReader<'a> {
             buf: &buf[..trailer_at],
             pos: 8,
         })
-    }
-
-    /// A reader over a [`SnapWriter::bare`] buffer: no envelope to validate,
-    /// the whole slice is the body. The usual corruption defenses (checksum,
-    /// version) are intentionally absent — bare buffers are process-local
-    /// scratch for the speculative-rollback fast path, written and read
-    /// within one run.
-    pub fn bare(buf: &'a [u8]) -> Self {
-        SnapReader { buf, pos: 0 }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapError> {
@@ -465,26 +435,6 @@ impl<T: Snap> Snap for Vec<T> {
     }
 }
 
-/// Reloads a `Vec<T>` *in place*, reusing the destination's allocation.
-///
-/// Byte-compatible with [`Snap::load`] for `Vec<T>` (consumes exactly what
-/// `Vec::save` wrote) but never shrinks or replaces the destination buffer:
-/// capacity is monotone across calls. The speculative-rollback path restores
-/// the same engine many times per run — with this helper the hot slabs
-/// (jobs, requests, free lists) stop churning the allocator once the first
-/// restore has warmed them up.
-pub fn load_vec_into<T: Snap>(dst: &mut Vec<T>, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-    let len = r.usize()?;
-    dst.clear();
-    // Same corrupt-length guard as `Vec::load`: never reserve more than the
-    // remaining bytes could possibly encode (1 byte/item minimum).
-    dst.reserve(len.min(r.buf.len() - r.pos));
-    for _ in 0..len {
-        dst.push(T::load(r)?);
-    }
-    Ok(())
-}
-
 impl Snap for i64 {
     fn save(&self, w: &mut SnapWriter) {
         w.u64(*self as u64);
@@ -643,64 +593,6 @@ mod tests {
             }
             other => panic!("expected BadSection, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn bare_round_trip_preserves_everything() {
-        let mut w = SnapWriter::bare(Vec::new());
-        w.section("micro");
-        w.u64(7);
-        w.f64(-0.0);
-        vec![5u64, 6].save(&mut w);
-        let buf = w.into_bare();
-        // No envelope: body starts at byte 0 and there is no trailer.
-        assert_eq!(buf[0], SECTION_TAG);
-        let mut r = SnapReader::bare(&buf);
-        r.section("micro").expect("micro");
-        assert_eq!(r.u64().unwrap(), 7);
-        assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert_eq!(Vec::<u64>::load(&mut r).unwrap(), vec![5, 6]);
-    }
-
-    #[test]
-    fn bare_writer_reuses_the_buffer_allocation() {
-        let mut buf = Vec::new();
-        let mut peak = 0;
-        for cycle in 0..8 {
-            let mut w = SnapWriter::bare(buf);
-            w.section("cycle");
-            for i in 0..256u64 {
-                w.u64(i * cycle);
-            }
-            buf = w.into_bare();
-            if cycle == 1 {
-                peak = buf.capacity();
-            }
-            if cycle > 1 {
-                assert_eq!(
-                    buf.capacity(),
-                    peak,
-                    "same-sized cycles after warm-up must not reallocate"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn load_vec_into_matches_vec_load_and_keeps_capacity() {
-        let mut w = SnapWriter::bare(Vec::new());
-        vec![3u64, 1, 4, 1, 5].save(&mut w);
-        vec![9u64, 2, 6].save(&mut w);
-        let buf = w.into_bare();
-
-        let mut r = SnapReader::bare(&buf);
-        let mut dst: Vec<u64> = Vec::with_capacity(64);
-        load_vec_into(&mut dst, &mut r).expect("first");
-        assert_eq!(dst, vec![3, 1, 4, 1, 5]);
-        assert!(dst.capacity() >= 64, "capacity must never shrink");
-        load_vec_into(&mut dst, &mut r).expect("second");
-        assert_eq!(dst, vec![9, 2, 6]);
-        assert!(dst.capacity() >= 64, "capacity must never shrink");
     }
 
     #[test]

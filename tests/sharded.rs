@@ -11,7 +11,6 @@
 //! 3. A mid-run snapshot taken at a window barrier resumes into the same
 //!    trajectory bit-for-bit.
 
-use microsvc::WindowPolicy;
 use scaleup_bench::{experiments as exp, Config};
 use simcore::SimDuration;
 use std::sync::Mutex;
@@ -154,36 +153,6 @@ fn sharded_checkpoint_roundtrip_is_invisible() {
     assert_eq!(straight.summary(), resumed.summary());
 }
 
-#[test]
-fn speculative_battery_matches_conservative_goldens() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Speculation must be invisible: the very same per-shard-count goldens
-    // the conservative battery pins, now with fixed 32-window rounds and
-    // micro-rollback on every late cross-cell message.
-    for &(shards, e3, e8, e18, e19, e22) in SHARDED_GOLDENS {
-        let mut config = sharded_config(shards, 0);
-        config.lab.shard_policy = WindowPolicy::Speculative { cap: 32 };
-        assert_golden("E3 speculative", shards, &exp::e3(&config).table, e3);
-        assert_golden("E8 speculative", shards, &exp::e8(&config).table, e8);
-        assert_golden("E18 speculative", shards, &exp::e18(&config).table, e18);
-        assert_golden("E19 speculative", shards, &exp::e19(&config).table, e19);
-        assert_golden("E22 speculative", shards, &exp::e22(&config).table, e22);
-    }
-}
-
-#[test]
-fn adaptive_battery_matches_conservative_goldens() {
-    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Adaptive widening (geometric growth, snap-back on traffic) must be
-    // equally invisible; one shard count keeps the suite's runtime sane —
-    // the policy proptests below cover the rest of the space.
-    let (shards, e3, _, _, _, e22) = SHARDED_GOLDENS[1];
-    let mut config = sharded_config(shards, 0);
-    config.lab.shard_policy = WindowPolicy::Adaptive { cap: 32 };
-    assert_golden("E3 adaptive", shards, &exp::e3(&config).table, e3);
-    assert_golden("E22 adaptive", shards, &exp::e22(&config).table, e22);
-}
-
 mod lookahead_props {
     use super::*;
     use microsvc::Deployment;
@@ -200,14 +169,12 @@ mod lookahead_props {
         users: u64,
         workers: usize,
         seed: u64,
-        policy: WindowPolicy,
     ) -> String {
         let store = teastore::TeaStore::with_demand_scale(0.25);
         let mut lab = Lab::small(seed).with_users(users).with_shards(shards);
         lab.shard_cross_permille = cross;
         lab.shard_latency = SimDuration::from_micros(latency_us);
         lab.shard_workers = workers;
-        lab.shard_policy = policy;
         lab.warmup = SimDuration::from_millis(100);
         lab.measure = SimDuration::from_millis(300);
         let app = store.app();
@@ -241,37 +208,14 @@ mod lookahead_props {
             users in 8u64..40,
             seed in 0u64..1_000,
         ) {
-            let a = run(latency_us, cross, shards, users, 1, seed, WindowPolicy::Conservative);
-            let b = run(latency_us, cross, shards, users, 4, seed, WindowPolicy::Conservative);
+            let a = run(latency_us, cross, shards, users, 1, seed);
+            let b = run(latency_us, cross, shards, users, 4, seed);
             prop_assert_eq!(a, b);
-        }
-
-        /// Window policy is pure overhead accounting: for any cross-traffic
-        /// rate and round-width cap, the adaptive and speculative runs match
-        /// the conservative run byte for byte — float bits included — and
-        /// stay invariant between 1 and 8 workers.
-        #[test]
-        fn window_policies_are_byte_identical(
-            latency_us in 100u64..5_000,
-            cross in 0u32..300,
-            shards in 2u32..5,
-            users in 8u64..40,
-            seed in 0u64..1_000,
-            cap in 2u32..48,
-        ) {
-            let conservative =
-                run(latency_us, cross, shards, users, 1, seed, WindowPolicy::Conservative);
-            let adaptive =
-                run(latency_us, cross, shards, users, 8, seed, WindowPolicy::Adaptive { cap });
-            let speculative =
-                run(latency_us, cross, shards, users, 8, seed, WindowPolicy::Speculative { cap });
-            prop_assert_eq!(&conservative, &adaptive);
-            prop_assert_eq!(&conservative, &speculative);
         }
     }
 }
 
-mod rollback {
+mod dense_traffic {
     use super::*;
     use loadgen::ClosedLoop;
     use microsvc::{
@@ -282,8 +226,9 @@ mod rollback {
 
     /// A dense little sharded run built directly (the `Lab` wrapper hides
     /// [`ShardedRun::sync_stats`]): 4 cells, heavy cross-traffic, fine
-    /// window — a rollback pressure-cooker.
-    fn direct(policy: WindowPolicy, workers: usize) -> (String, SyncStats) {
+    /// window. Returns the report footprint, the sync counters and the
+    /// number of cross-cell messages sent.
+    fn direct(workers: usize) -> (String, SyncStats, u64) {
         let store = teastore::TeaStore::with_demand_scale(0.25);
         let app = store.app();
         let topo = Arc::new(cputopo::Topology::desktop_8c());
@@ -310,7 +255,7 @@ mod rollback {
                 (engine, load)
             })
             .collect();
-        let mut run = ShardedRun::new(cells, spec).with_policy(policy);
+        let mut run = ShardedRun::new(cells, spec);
         run.run(SimTime::ZERO + SimDuration::from_millis(800), workers);
         let report = run.report();
         let footprint = format!(
@@ -322,63 +267,25 @@ mod rollback {
             report.latency_p99,
             report.throughput_rps.to_bits()
         );
-        (footprint, run.sync_stats())
+        let messages = run.drivers().map(|d| d.messages_sent()).sum();
+        (footprint, run.sync_stats(), messages)
     }
 
     #[test]
-    fn speculation_actually_rolls_back_and_still_matches() {
+    fn dense_cross_traffic_is_worker_invariant_with_exact_sync_counts() {
         let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Guard against a vacuous differential: under 300‰ cross-traffic a
-        // 16-window speculative round *must* take rollbacks — if it doesn't,
-        // the battery above is silently testing the no-speculation path.
-        let (base, base_stats) = direct(WindowPolicy::Conservative, 2);
-        let (spec, spec_stats) = direct(WindowPolicy::Speculative { cap: 16 }, 2);
-        assert_eq!(base, spec, "speculative run diverged from conservative");
-        assert!(
-            spec_stats.rollbacks > 0,
-            "no rollbacks under heavy cross-traffic — speculation never engaged: {spec_stats:?}"
-        );
-        assert!(spec_stats.replayed_events > 0, "rollbacks discarded no events");
-        assert_eq!(base_stats.rollbacks, 0, "conservative path must never roll back");
-        assert!(
-            spec_stats.barriers < base_stats.barriers,
-            "speculation must elide barriers even while rolling back: {} vs {}",
-            spec_stats.barriers,
-            base_stats.barriers
-        );
-        // The stats themselves are deterministic: same run, same counters.
-        let (_, again) = direct(WindowPolicy::Speculative { cap: 16 }, 8);
-        assert_eq!(spec_stats, again, "sync stats depend on the worker count");
-    }
-
-    #[test]
-    fn speculative_checkpoint_roundtrip_is_invisible() {
-        let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // Snapshot at a barrier mid-speculative-run, restore into fresh
-        // cells, resume speculatively: same bytes as the straight run.
-        use scaleup::Lab;
-        let store = teastore::TeaStore::with_demand_scale(0.25);
-        let mut lab = Lab::small(9).with_users(24).with_shards(3);
-        lab.shard_cross_permille = 150;
-        lab.shard_latency = SimDuration::from_micros(500);
-        lab.shard_policy = WindowPolicy::Speculative { cap: 8 };
-        lab.warmup = SimDuration::from_millis(100);
-        lab.measure = SimDuration::from_millis(300);
-        let app = store.app();
-        let deployment = Deployment::uniform(app, &lab.topo, 2, 4);
-        let straight = lab.run_app(app, deployment.clone(), microsvc::LbPolicy::RoundRobin);
-        let resumed = lab
-            .clone()
-            .with_checkpoint(true)
-            .run_app(app, deployment, microsvc::LbPolicy::RoundRobin);
-        assert_eq!(straight.completed, resumed.completed);
-        assert_eq!(straight.events_processed, resumed.events_processed);
-        assert_eq!(straight.mean_latency, resumed.mean_latency);
-        assert_eq!(straight.latency_p99, resumed.latency_p99);
-        assert_eq!(
-            straight.throughput_rps.to_bits(),
-            resumed.throughput_rps.to_bits()
-        );
-        assert_eq!(straight.summary(), resumed.summary());
+        // 300‰ cross traffic over a 250 µs window: the report and every
+        // sync counter must be the same at 2 and 8 workers, and the
+        // conservative loop crosses exactly two barriers per window.
+        let (two, stats, messages) = direct(2);
+        let (eight, again, _) = direct(8);
+        assert_eq!(two, eight, "report depends on the worker count");
+        assert_eq!(stats, again, "sync stats depend on the worker count");
+        assert!(messages > 0, "no cross-cell traffic — the test is vacuous");
+        assert!(stats.windows > 0, "{stats:?}");
+        assert_eq!(stats.rounds, stats.windows, "{stats:?}");
+        assert_eq!(stats.barriers, 2 * stats.windows, "{stats:?}");
+        assert_eq!(stats.rollbacks, 0, "{stats:?}");
+        assert_eq!(stats.replayed_events, 0, "{stats:?}");
     }
 }
