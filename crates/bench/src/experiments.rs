@@ -1,8 +1,9 @@
-//! One function per reconstructed experiment (E1–E17) plus the ablations.
+//! One function per experiment plus the ablations.
 //!
 //! Each function returns a result struct carrying both the key numbers (for
 //! assertions in tests and EXPERIMENTS.md bookkeeping) and a rendered text
-//! table (what the `repro` binary prints).
+//! table (what the `repro` binary prints). The rows of [`crate::registry`]
+//! call these functions and add the CSV and HTML forms.
 
 use cputopo::{enumerate, TopologyBuilder};
 use loadgen::ClosedLoop;
@@ -2801,529 +2802,6 @@ pub fn e29(config: &Config) -> ChaosSweep {
     ChaosSweep { rows, table }
 }
 
-/// CSV of the E29 sweep.
-pub fn csv_e29(sweep: &ChaosSweep) -> String {
-    let mut csv = String::from(
-        "config,plans,violations,p99_ceiling,goodput_floor,recovery,metastable,trajectory_hash\n",
-    );
-    for (name, report) in &sweep.rows {
-        let by = report.by_invariant();
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{},{},{},{:#018x}",
-            name,
-            report.plans,
-            report.findings.len(),
-            by[0].1,
-            by[1].1,
-            by[2].1,
-            by[3].1,
-            report.trajectory_hash,
-        );
-    }
-    csv
-}
-
-// ------------------------------------------------------- experiment catalog
-
-/// One entry of the experiment catalog: id, one-line title, and coarse
-/// wall-clock estimates for CI budgeting (release build, default jobs).
-#[derive(Debug, Clone, Copy)]
-pub struct CatalogEntry {
-    /// Experiment id as the `repro` binary accepts it (`e3`, `a1`, …).
-    pub id: &'static str,
-    /// One-line description.
-    pub title: &'static str,
-    /// Estimated `--quick` runtime in seconds.
-    pub quick_secs: f64,
-    /// Estimated full (paper-scale) runtime in seconds.
-    pub full_secs: f64,
-    /// Whether the experiment honors `repro --shards N` (its runs route
-    /// through the lab's sharded parallel-in-run path). The CI smoke uses
-    /// this to pick experiments to exercise with `--shards 2`.
-    pub shardable: bool,
-}
-
-/// Every experiment the `repro` binary knows, with a one-line description
-/// and runtime estimates — drives `repro list` (and its `--json` mode,
-/// which the CI smoke uses to pick experiments) and the usage text.
-pub fn catalog() -> Vec<CatalogEntry> {
-    const fn e(
-        id: &'static str,
-        title: &'static str,
-        quick_secs: f64,
-        full_secs: f64,
-    ) -> CatalogEntry {
-        CatalogEntry {
-            id,
-            title,
-            quick_secs,
-            full_secs,
-            shardable: false,
-        }
-    }
-    /// A shardable entry: the experiment's runs honor `--shards N`.
-    const fn sh(
-        id: &'static str,
-        title: &'static str,
-        quick_secs: f64,
-        full_secs: f64,
-    ) -> CatalogEntry {
-        CatalogEntry {
-            id,
-            title,
-            quick_secs,
-            full_secs,
-            shardable: true,
-        }
-    }
-    vec![
-        e("e1", "platform configuration table", 0.1, 0.1),
-        e("e2", "TeaStore services, profiles and request mix", 0.1, 0.1),
-        sh("e3", "throughput/latency vs closed-loop users (load curve)", 1.0, 30.0),
-        e("e4", "scale-up curve: throughput vs enabled logical CPUs + USL fit", 1.0, 45.0),
-        e("e5", "per-service busy CPUs vs load", 1.0, 30.0),
-        e("e6", "per-service scaling: replicate one tier at a time + USL", 2.0, 60.0),
-        e("e7", "replica tuning of the bottleneck service", 1.0, 30.0),
-        sh("e8", "placement-policy comparison at saturation (+22% headline)", 1.0, 30.0),
-        e("e9", "latency at matched open load (−18% headline)", 1.0, 20.0),
-        e("e10", "SMT on/off at equal core count vs a compute-bound contrast", 1.0, 20.0),
-        e("e11", "NUMA locality: local vs remote memory for the data tier", 1.0, 20.0),
-        e("e12", "µarch characterization vs reference workloads", 0.5, 5.0),
-        e("e13", "scheduler behaviour per placement policy", 1.0, 20.0),
-        e("e14", "opportunistic frequency boost extension", 1.0, 20.0),
-        e("e15", "simulator vs analytic MVA validation", 0.5, 10.0),
-        e("e16", "workload-mix sensitivity extension", 1.0, 30.0),
-        e("e17", "CPU-mask enumeration orders at a fixed CPU budget", 1.0, 30.0),
-        sh("e18", "slow-replica tail amplification + resilience (faults)", 1.0, 20.0),
-        e("e19", "crash and recovery under load (faults)", 1.0, 20.0),
-        sh("e20", "overload sweep: admission control vs unbounded queues", 3.0, 30.0),
-        sh("e21", "retry-storm metastability; retry budgets recover it", 3.0, 30.0),
-        sh("e22", "brownout: priority shedding keeps checkout goodput high", 2.0, 20.0),
-        sh("e23", "recovery hysteresis: queue-bound policy vs backlog drain", 3.0, 30.0),
-        e("e24", "population scale-up 1k→1M users: events/s and bytes/user", 5.0, 90.0),
-        e("e25", "trace memory vs fidelity: head-capped vs reservoir sampling", 2.0, 20.0),
-        e("e26", "mega-scale overload: admission sweep at 100k closed-loop users", 5.0, 45.0),
-        e("e27", "warm-started sweeps: one shared checkpoint serves a measurement grid", 2.0, 60.0),
-        sh("e28", "shard-count scaling: events/s and speedup vs shards (parallel-in-run)", 20.0, 600.0),
-        e("e29", "chaos sweep: sampled fault plans vs the mitigation grid", 30.0, 180.0),
-        e("snap", "snapshot/resume identity self-check (writes results/snapshot_quick.bin)", 1.0, 15.0),
-        e("chaos", "fault-space search + shrink (writes results/chaos_report.json)", 30.0, 120.0),
-        e("lint", "static determinism & invariant pass (simlint)", 0.1, 0.1),
-        e("a1", "ablation: topology-aware packing objective", 1.0, 20.0),
-        e("a2", "ablation: load-balancer policy under pod placement", 1.0, 20.0),
-        e("a3", "ablation: idle-steal scope of the scheduler", 1.0, 20.0),
-        e("a4", "ablation: scheduler quantum vs tail latency", 1.0, 20.0),
-    ]
-}
-
-/// The catalog as machine-readable JSON (for `repro list --json`).
-pub fn catalog_json() -> String {
-    let mut out = String::from("[\n");
-    let entries = catalog();
-    for (i, e) in entries.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"id\": \"{}\", \"title\": \"{}\", \"quick_est_secs\": {:.1}, \"full_est_secs\": {:.1}, \"shardable\": {}}}",
-            e.id, e.title, e.quick_secs, e.full_secs, e.shardable
-        );
-        out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
-}
-
-// -------------------------------------------------------------- CSV export
-
-/// CSV of a [`ScalePoint`] series (used by E4/E6/E7 exports).
-pub fn csv_scale_points(points: &[ScalePoint]) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "n",
-        "throughput_rps",
-        "mean_latency_us",
-        "p99_latency_us",
-        "cpu_utilization",
-    ]);
-    for p in points {
-        csv.row_f64(&[
-            p.n as f64,
-            p.throughput_rps,
-            p.mean_latency_us,
-            p.p99_latency_us,
-            p.cpu_utilization,
-        ]);
-    }
-    csv.finish()
-}
-
-/// CSV of the E3 load curve.
-pub fn csv_e3(curve: &LoadCurve) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "users",
-        "throughput_rps",
-        "mean_latency_us",
-        "p95_latency_us",
-        "p99_latency_us",
-        "cpu_utilization",
-    ]);
-    for (users, r) in &curve.points {
-        csv.row_f64(&[
-            *users as f64,
-            r.throughput_rps,
-            r.mean_latency.as_micros_f64(),
-            r.latency_p95.as_micros_f64(),
-            r.latency_p99.as_micros_f64(),
-            r.cpu_utilization,
-        ]);
-    }
-    csv.finish()
-}
-
-/// CSV of the E6 per-service scaling curves (long format).
-pub fn csv_e6(result: &ServiceScaling) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "service",
-        "replicas",
-        "throughput_rps",
-        "usl_sigma",
-        "usl_kappa",
-    ]);
-    for (name, points, fit) in &result.services {
-        for p in points {
-            csv.row(&[
-                name,
-                &p.n.to_string(),
-                &format!("{:.3}", p.throughput_rps),
-                &format!("{:.6}", fit.sigma),
-                &format!("{:.8}", fit.kappa),
-            ]);
-        }
-    }
-    csv.finish()
-}
-
-/// CSV of the E8 placement comparison.
-pub fn csv_e8(result: &PlacementComparison) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "policy",
-        "throughput_rps",
-        "mean_latency_us",
-        "p95_latency_us",
-        "cpu_utilization",
-    ]);
-    for (name, r) in &result.rows {
-        csv.row(&[
-            name,
-            &format!("{:.1}", r.throughput_rps),
-            &format!("{:.1}", r.mean_latency.as_micros_f64()),
-            &format!("{:.1}", r.latency_p95.as_micros_f64()),
-            &format!("{:.4}", r.cpu_utilization),
-        ]);
-    }
-    csv.finish()
-}
-
-/// CSV of the E9 latency-vs-load comparison (long format).
-pub fn csv_e9(result: &LatencyComparison) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "load_fraction",
-        "config",
-        "mean_latency_us",
-        "p50_us",
-        "p95_us",
-        "p99_us",
-    ]);
-    for (f, base, opt) in &result.points {
-        for (name, r) in [("baseline", base), ("topology-aware", opt)] {
-            csv.row(&[
-                &format!("{f:.2}"),
-                name,
-                &format!("{:.1}", r.mean_latency.as_micros_f64()),
-                &format!("{:.1}", r.latency_p50.as_micros_f64()),
-                &format!("{:.1}", r.latency_p95.as_micros_f64()),
-                &format!("{:.1}", r.latency_p99.as_micros_f64()),
-            ]);
-        }
-    }
-    csv.finish()
-}
-
-/// CSV of the E15 simulator-vs-MVA validation.
-pub fn csv_e15(result: &MvaValidation) -> String {
-    let mut csv = scaleup::report::Csv::new(&["users", "sim_rps", "mva_rps"]);
-    for &(users, sim, mva) in &result.points {
-        csv.row_f64(&[users as f64, sim, mva]);
-    }
-    csv.finish()
-}
-
-/// CSV of an E18/E19 fault study (one row per configuration).
-pub fn csv_fault_study(result: &FaultStudy) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "config",
-        "throughput_rps",
-        "mean_latency_us",
-        "p99_latency_us",
-        "timed_out",
-        "shed",
-        "replies_dropped",
-        "rejected_arrivals",
-    ]);
-    for (name, r) in &result.rows {
-        csv.row(&[
-            name,
-            &format!("{:.1}", r.throughput_rps),
-            &format!("{:.1}", r.mean_latency.as_micros_f64()),
-            &format!("{:.1}", r.latency_p99.as_micros_f64()),
-            &r.requests_timed_out.to_string(),
-            &r.requests_shed.to_string(),
-            &r.replies_dropped.to_string(),
-            &r.rejected_arrivals.to_string(),
-        ]);
-    }
-    csv.finish()
-}
-
-/// CSV of the E19 per-bucket throughput traces (long format).
-pub fn csv_e19_series(result: &FaultStudy) -> String {
-    let mut csv = scaleup::report::Csv::new(&["config", "t_secs", "throughput_rps"]);
-    for (name, r) in &result.rows {
-        for &(t, rps) in &r.throughput_series {
-            csv.row(&[name, &format!("{t:.3}"), &format!("{rps:.1}")]);
-        }
-    }
-    csv.finish()
-}
-
-/// CSV of the E20 overload sweep (long format, one row per load × arm).
-pub fn csv_e20(result: &OverloadSweep) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "load_multiple",
-        "config",
-        "goodput_rps",
-        "p99_latency_us",
-        "shed",
-        "max_queue_depth",
-    ]);
-    for (m, unbounded, admitted) in &result.rows {
-        for (name, r) in [("unbounded", unbounded), ("admission", admitted)] {
-            csv.row(&[
-                &format!("{m:.2}"),
-                name,
-                &format!("{:.1}", r.throughput_rps),
-                &format!("{:.1}", r.latency_p99.as_micros_f64()),
-                &r.overload.total_sheds().to_string(),
-                &format!("{:.0}", max_queue_depth(r)),
-            ]);
-        }
-    }
-    csv.finish()
-}
-
-/// CSV of the E21 per-bucket goodput and queue-depth traces (long format).
-pub fn csv_e21_series(result: &MetastabilityStudy) -> String {
-    let mut csv =
-        scaleup::report::Csv::new(&["config", "t_secs", "goodput_rps", "queue_depth"]);
-    for (name, r) in &result.rows {
-        let depth: simcore::DetHashMap<u64, f64> = r
-            .queue_depth_series
-            .iter()
-            .map(|&(t, d)| ((t * 1000.0).round() as u64, d))
-            .collect();
-        for &(t, rps) in &r.throughput_series {
-            let d = depth
-                .get(&((t * 1000.0).round() as u64))
-                .copied()
-                .unwrap_or(0.0);
-            csv.row(&[
-                name,
-                &format!("{t:.3}"),
-                &format!("{rps:.1}"),
-                &format!("{d:.0}"),
-            ]);
-        }
-    }
-    csv.finish()
-}
-
-/// CSV of the E22 per-class goodput (one row per arm × class).
-pub fn csv_e22(result: &BrownoutStudy) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "config",
-        "class",
-        "submitted",
-        "shed",
-        "goodput_fraction",
-    ]);
-    for (arm, classes) in &result.class_goodput {
-        for (class, submitted, failed, goodput) in classes {
-            csv.row(&[
-                arm,
-                class,
-                &submitted.to_string(),
-                &failed.to_string(),
-                &format!("{goodput:.4}"),
-            ]);
-        }
-    }
-    csv.finish()
-}
-
-/// CSV of the E23 recovery study (one row per arm).
-pub fn csv_e23(result: &RecoveryStudy) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "config",
-        "goodput_rps",
-        "p99_latency_us",
-        "shed",
-        "max_queue_depth",
-        "drain_secs_after_burst",
-    ]);
-    for (name, r, drain) in &result.rows {
-        csv.row(&[
-            name,
-            &format!("{:.1}", r.throughput_rps),
-            &format!("{:.1}", r.latency_p99.as_micros_f64()),
-            &r.overload.total_sheds().to_string(),
-            &format!("{:.0}", max_queue_depth(r)),
-            &drain.map(|s| format!("{s:.2}")).unwrap_or_default(),
-        ]);
-    }
-    csv.finish()
-}
-
-/// CSV of the E24 population sweep (one row per population).
-pub fn csv_e24(result: &PopulationScale) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "users",
-        "think_ms",
-        "throughput_rps",
-        "p99_latency_us",
-        "events",
-        "events_per_sec",
-        "bytes_per_user",
-    ]);
-    for p in &result.rows {
-        csv.row(&[
-            &p.users.to_string(),
-            &format!("{:.1}", p.think.as_secs_f64() * 1e3),
-            &format!("{:.1}", p.report.throughput_rps),
-            &format!("{:.1}", p.report.latency_p99.as_micros_f64()),
-            &p.report.events_processed.to_string(),
-            &format!("{:.0}", p.events_per_sec),
-            &format!("{:.1}", p.bytes_per_user),
-        ]);
-    }
-    csv.finish()
-}
-
-/// CSV of the E25 tracing comparison (one row per arm).
-pub fn csv_e25(result: &TraceFidelity) -> String {
-    let off_footprint = result.rows[0].report.engine_footprint_bytes;
-    let mut csv = scaleup::report::Csv::new(&[
-        "mode",
-        "traces_retained",
-        "trace_bytes",
-        "est_p99_us",
-        "true_p99_us",
-        "completed",
-    ]);
-    for arm in &result.rows {
-        csv.row(&[
-            arm.mode,
-            &arm.report.traces_retained.to_string(),
-            &arm
-                .report
-                .engine_footprint_bytes
-                .saturating_sub(off_footprint)
-                .to_string(),
-            &arm.trace_p99
-                .map(|p| format!("{:.1}", p.as_micros_f64()))
-                .unwrap_or_default(),
-            &format!("{:.1}", result.rows[0].report.latency_p99.as_micros_f64()),
-            &arm.report.completed.to_string(),
-        ]);
-    }
-    csv.finish()
-}
-
-/// CSV of the E26 mega-scale overload sweep (same shape as E20's).
-pub fn csv_e26(result: &MegaOverload) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "load_multiple",
-        "config",
-        "goodput_rps",
-        "p99_latency_us",
-        "shed",
-        "max_queue_depth",
-    ]);
-    for (m, unbounded, admitted) in &result.rows {
-        for (name, r) in [("unbounded", unbounded), ("admission", admitted)] {
-            csv.row(&[
-                &format!("{m:.2}"),
-                name,
-                &format!("{:.1}", r.throughput_rps),
-                &format!("{:.1}", r.latency_p99.as_micros_f64()),
-                &r.overload.total_sheds().to_string(),
-                &format!("{:.0}", max_queue_depth(r)),
-            ]);
-        }
-    }
-    csv.finish()
-}
-
-/// CSV of the E28 shard-scaling sweep (one row per population × shards).
-pub fn csv_e28(result: &ShardScaling) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "users",
-        "shards",
-        "throughput_rps",
-        "events",
-        "events_per_sec",
-        "speedup",
-    ]);
-    for p in &result.rows {
-        csv.row(&[
-            &p.users.to_string(),
-            &p.shards.to_string(),
-            &format!("{:.1}", p.report.throughput_rps),
-            &p.report.events_processed.to_string(),
-            &format!("{:.0}", p.events_per_sec),
-            &format!("{:.3}", p.speedup),
-        ]);
-    }
-    csv.finish()
-}
-
-/// CSV rows of one E27 arm; the cold and warm arms must render identically.
-pub fn csv_e27_arm(rows: &[(u64, SimDuration, RunReport)]) -> String {
-    let mut csv = scaleup::report::Csv::new(&[
-        "users",
-        "extent_us",
-        "completed",
-        "events",
-        "throughput_rps",
-        "p99_latency_us",
-    ]);
-    for (users, extent, r) in rows {
-        csv.row(&[
-            &users.to_string(),
-            &format!("{:.0}", extent.as_micros_f64()),
-            &r.completed.to_string(),
-            &r.events_processed.to_string(),
-            &format!("{:.3}", r.throughput_rps),
-            &format!("{:.1}", r.latency_p99.as_micros_f64()),
-        ]);
-    }
-    csv.finish()
-}
-
-/// CSV of the E27 grid (the warm arm; identical to the cold arm by the
-/// study's own check).
-pub fn csv_e27(result: &WarmStartStudy) -> String {
-    csv_e27_arm(&result.warm)
-}
-
 // ---------------------------------------------------------------- ablations
 
 /// Ablation A1 — bin-packing objective of the topology-aware policy.
@@ -3437,13 +2915,6 @@ pub fn ablate_quantum(config: &Config) -> String {
         );
     }
     out
-}
-
-/// Topology sanity used by the `repro` binary's `check` subcommand: the
-/// headline gap, quickly, on the full machine with a short window.
-pub fn headline_check(seed: u64) -> PlacementComparison {
-    let config = Config::paper(seed);
-    e8(&config)
 }
 
 #[cfg(test)]
@@ -3578,28 +3049,14 @@ mod tests {
     }
 
     #[test]
-    fn catalog_covers_every_runnable_experiment() {
-        let names: Vec<&str> = catalog().iter().map(|e| e.id).collect();
-        for e in 1..=29 {
-            assert!(names.contains(&format!("e{e}").as_str()), "missing e{e}");
-        }
-        for a in 1..=4 {
-            assert!(names.contains(&format!("a{a}").as_str()), "missing a{a}");
-        }
-        for extra in ["lint", "snap", "chaos"] {
-            assert!(names.contains(&extra), "missing {extra}");
-        }
-    }
-
-    #[test]
     fn e27_warm_start_matches_cold_and_skips_the_prefix() {
         let c = quick();
         let study = e27(&c);
         assert_eq!(study.cold.len(), study.warm.len());
         assert!(study.identical, "warm-started grid diverged:\n{}", study.table);
         assert_eq!(
-            csv_e27_arm(&study.cold),
-            csv_e27_arm(&study.warm),
+            crate::registry::csv_e27_arm(&study.cold),
+            crate::registry::csv_e27_arm(&study.warm),
             "cold and warm CSV must be identical"
         );
         // Every cell completed work after the checkpoint.

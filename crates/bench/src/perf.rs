@@ -606,8 +606,8 @@ pub fn read_baseline(path: &std::path::Path) -> Result<String, String> {
 /// `--gate` only has an effect when the `perf` experiment actually runs;
 /// catching the mismatch up front beats parsing the flag and silently
 /// ignoring it (which used to make `repro --gate X e3` pass vacuously).
-pub fn gate_requires_perf(wanted: &[String], gate_requested: bool) -> Result<(), String> {
-    if gate_requested && !wanted.iter().any(|w| w == "perf") {
+pub fn gate_requires_perf<S: AsRef<str>>(wanted: &[S], gate_requested: bool) -> Result<(), String> {
+    if gate_requested && !wanted.iter().any(|w| w.as_ref() == "perf") {
         return Err(
             "--gate only applies to the `perf` experiment; add `perf` to the experiment list"
                 .to_owned(),

@@ -20,7 +20,6 @@
 
 use cputopo::{CcxId, CpuSet, NumaId, SocketId, Topology};
 use microsvc::{AppSpec, Deployment, InstanceConfig, LbPolicy, ServiceId};
-use serde::{Deserialize, Serialize};
 
 /// A deployment paired with the load-balancing policy it assumes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,7 +31,7 @@ pub struct PlacedDeployment {
 }
 
 /// The placement policies of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Policy {
     /// OS default: no pinning, first-touch memory on node 0, round-robin LB.
     Unpinned,
@@ -143,7 +142,7 @@ impl Policy {
 
 /// The CCX bin-packing objective of the topology-aware policy (ablated in
 /// the benchmark suite).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Objective {
     /// Balance CPU commitment only.
     CpuOnly,

@@ -13,11 +13,10 @@
 //! expected within ~10–20%: the analytic model ignores contention-dependent
 //! service rates (SMT/L3/NUMA), which is precisely what the simulator adds.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// One service station of the closed network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Station {
     /// Label for reports.
     pub name: String,
@@ -44,7 +43,7 @@ impl Station {
 }
 
 /// A closed queueing network: `N` users → think `Z` → stations → repeat.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ClosedModel {
     /// The queueing stations.
     pub stations: Vec<Station>,
@@ -55,7 +54,7 @@ pub struct ClosedModel {
 }
 
 /// The solution of the model at one population.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MvaSolution {
     /// Population the model was solved for.
     pub n: usize,

@@ -11,11 +11,10 @@
 use crate::lab::Lab;
 use crate::placement::Policy;
 use microsvc::RunReport;
-use serde::{Deserialize, Serialize};
 use teastore::TeaStore;
 
 /// Mean and spread of one metric over replicated runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of replications.
     pub n: usize,

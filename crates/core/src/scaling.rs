@@ -4,10 +4,9 @@ use crate::lab::Lab;
 use crate::usl::{self, UslFit};
 use cputopo::CpuId;
 use microsvc::{AppSpec, Deployment, InstanceConfig, LbPolicy, RunReport, ServiceId};
-use serde::{Deserialize, Serialize};
 
 /// One point of a scale-up curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScalePoint {
     /// The swept quantity (enabled CPUs, or replica count).
     pub n: usize,

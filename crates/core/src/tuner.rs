@@ -14,12 +14,11 @@
 use crate::lab::Lab;
 use crate::placement::Policy;
 use microsvc::AppSpec;
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 use teastore::TeaStore;
 
 /// Result of a tuning session.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TuneOutcome {
     /// Final per-service replica counts.
     pub replicas: Vec<usize>,

@@ -18,10 +18,9 @@
 //! robust for this two-parameter, well-conditioned problem and fully
 //! deterministic.
 
-use serde::{Deserialize, Serialize};
 
 /// A fitted USL model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UslFit {
     /// Per-unit throughput (throughput at N→0 per unit of N).
     pub lambda: f64,

@@ -6,7 +6,6 @@
 
 use crate::ids::CpuId;
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// A set of logical CPUs, stored as a bitmask.
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(set.contains(CpuId(130)));
 /// assert_eq!(set.iter().collect::<Vec<_>>(), vec![CpuId(1), CpuId(130)]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct CpuSet {
     words: Vec<u64>,
 }
@@ -297,5 +296,14 @@ mod tests {
         assert_eq!(s.len(), 3);
         let round: CpuSet = s.iter().collect();
         assert_eq!(round, s);
+    }
+
+    #[test]
+    fn equality_tracks_content_not_capacity() {
+        // Two equal sets built differently compare equal — the normalized
+        // representation guarantees it.
+        let direct = set(&[1, 2]);
+        let via_difference = set(&[1, 2, 200]).difference(&set(&[200]));
+        assert_eq!(direct, via_difference);
     }
 }

@@ -6,15 +6,11 @@
 //! juggles five kinds of index at once.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub u32);
 
         impl $name {

@@ -3,10 +3,9 @@
 use crate::cpuset::CpuSet;
 use crate::ids::{CcdId, CcxId, CoreId, CpuId, NumaId, SocketId};
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 /// Shape parameters of a machine, the input to [`TopologyBuilder::build`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TopologySpec {
     /// Human-readable model name (appears in reports).
     pub name: String,
@@ -29,7 +28,7 @@ pub struct TopologySpec {
 }
 
 /// Cache capacities at each level of the hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheSpec {
     /// Per-core L1 data cache, bytes.
     pub l1d_bytes: u64,
@@ -57,7 +56,7 @@ impl Default for CacheSpec {
 ///
 /// Ordered from closest to farthest, so `a.min(b)` and comparisons behave
 /// naturally in cost models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Proximity {
     /// The very same logical CPU.
     SameCpu,
@@ -90,7 +89,7 @@ impl fmt::Display for Proximity {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct CpuInfo {
     core: CoreId,
     ccx: CcxId,
@@ -105,7 +104,7 @@ struct CpuInfo {
 /// Construct with [`TopologyBuilder`] or a preset. Logical CPU numbering is
 /// Linux-style: CPUs `0..num_cores` are the first SMT thread of each core
 /// (socket-major order), CPUs `num_cores..2·num_cores` are their siblings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     spec: TopologySpec,
     cpus: Vec<CpuInfo>,
@@ -768,5 +767,23 @@ mod tests {
                 .count();
             assert_eq!(hits, 1);
         }
+    }
+
+    #[test]
+    fn custom_topology_spec_survives_clone_semantics() {
+        // Clone + PartialEq are the in-process round trip every experiment
+        // relies on (Lab clones its Arc<Topology> per run).
+        let t = TopologyBuilder::new("nps4")
+            .sockets(2)
+            .numa_per_socket(4)
+            .ccds_per_numa(2)
+            .ccxs_per_ccd(2)
+            .cores_per_ccx(2)
+            .threads_per_core(2)
+            .build();
+        let c = t.clone();
+        assert_eq!(t, c);
+        assert_eq!(t.spec(), c.spec());
+        assert_eq!(t.num_cpus(), 2 * 4 * 2 * 2 * 2 * 2);
     }
 }

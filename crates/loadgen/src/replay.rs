@@ -5,18 +5,17 @@
 //! `(arrival offset, request class)` pairs, so real traces (or schedules
 //! generated once and shared between experiments) can be replayed
 //! bit-identically against different configurations. The schedule is plain
-//! data (`serde`-serializable) and independent of the engine's RNG, which
+//! data and independent of the engine's RNG, which
 //! makes A/B comparisons exact: both sides see the *same* arrivals.
 
 use microsvc::{Driver, EngineCtx, ResponseInfo};
-use serde::{Deserialize, Serialize};
 use simcore::dist::{Distribution, Exp, WeightedIndex};
 use simcore::{Rng, SimDuration};
 
 const TOKEN_WARMUP: u64 = u64::MAX;
 
 /// One scheduled arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Arrival {
     /// Offset from the start of the run.
     pub at: SimDuration,
@@ -25,7 +24,7 @@ pub struct Arrival {
 }
 
 /// A replayable arrival schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Schedule {
     arrivals: Vec<Arrival>,
 }

@@ -1,7 +1,6 @@
 //! Application descriptions: services, demands, and request-class call trees.
 
 use crate::ids::{RequestClassId, ServiceId};
-use serde::{Deserialize, Serialize};
 use simcore::dist::{Distribution, LogNormal};
 use simcore::Rng;
 use uarch::ServiceProfile;
@@ -11,7 +10,7 @@ use uarch::ServiceProfile;
 ///
 /// Samples are log-normal with the given coefficient of variation, matching
 /// the right-skew of measured service times.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Demand {
     /// Mean demand, µs of reference CPU time.
     pub mean_us: f64,
@@ -64,7 +63,7 @@ impl Demand {
 
 /// A stage of downstream calls: every child is issued concurrently, and the
 /// stage completes when all replies are in.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallStage {
     /// Calls issued in parallel.
     pub parallel: Vec<CallNode>,
@@ -72,7 +71,7 @@ pub struct CallStage {
 
 /// One node of a request-class call tree: CPU work at a service, then a
 /// sequence of call stages, then closing CPU work.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CallNode {
     /// The service that executes this node.
     pub service: ServiceId,
@@ -138,7 +137,7 @@ impl CallNode {
 }
 
 /// A request class: a named, weighted call tree.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestClass {
     /// Name used in reports ("product-view").
     pub name: String,
@@ -149,7 +148,7 @@ pub struct RequestClass {
 }
 
 /// Description of one service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceSpec {
     /// Service name.
     pub name: String,
@@ -178,7 +177,7 @@ impl ServiceSpec {
 }
 
 /// The whole application: services plus request classes.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppSpec {
     services: Vec<ServiceSpec>,
     classes: Vec<RequestClass>,

@@ -8,10 +8,9 @@
 use crate::app::AppSpec;
 use crate::ids::ServiceId;
 use cputopo::{CpuSet, NumaId, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one service instance.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstanceConfig {
     /// CPUs this instance's worker threads may run on.
     pub affinity: CpuSet,
@@ -50,7 +49,7 @@ impl InstanceConfig {
 }
 
 /// A full deployment: instances for every service of an [`AppSpec`].
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Deployment {
     instances: Vec<Vec<InstanceConfig>>,
 }

@@ -30,7 +30,6 @@
 
 use crate::ids::InstanceId;
 use crate::overload::ShedReason;
-use serde::{Deserialize, Serialize};
 use simcore::{SimDuration, SimTime};
 
 /// Why a request or span was disturbed. Recorded on trace spans and on
@@ -43,7 +42,7 @@ use simcore::{SimDuration, SimTime};
 /// carried [`ShedReason`] names the policy. Keeping the two apart is what
 /// lets the overload experiments count policy drops without polluting the
 /// fault-injection counters (and vice versa).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultCause {
     /// The caller's per-call timeout elapsed before the reply arrived.
     TimedOut,
@@ -71,7 +70,7 @@ impl std::fmt::Display for FaultCause {
 }
 
 /// One instance crash/restart cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Crash {
     /// The instance that crashes.
     pub instance: InstanceId,
@@ -82,7 +81,7 @@ pub struct Crash {
 }
 
 /// A degradation window multiplying an instance's CPU demand.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Slowdown {
     /// The affected instance.
     pub instance: InstanceId,
@@ -95,7 +94,7 @@ pub struct Slowdown {
 }
 
 /// A window in which an instance's replies are dropped or delayed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReplyFault {
     /// The affected instance.
     pub instance: InstanceId,
@@ -123,7 +122,7 @@ pub struct ReplyFault {
 /// assert!(!plan.is_empty());
 /// assert!(FaultPlan::none().is_empty());
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Crash/restart cycles.
     pub crashes: Vec<Crash>,

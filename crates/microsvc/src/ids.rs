@@ -1,15 +1,11 @@
 //! Typed identifiers for application-level entities.
 
 use core::fmt;
-use serde::{Deserialize, Serialize};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident($inner:ty), $prefix:literal) => {
         $(#[$doc])*
-        #[derive(
-            Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-            Serialize, Deserialize,
-        )]
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
         pub struct $name(pub $inner);
 
         impl $name {

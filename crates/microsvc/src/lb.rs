@@ -7,10 +7,9 @@
 
 use crate::ids::InstanceId;
 use cputopo::{CpuId, Proximity, Topology};
-use serde::{Deserialize, Serialize};
 
 /// Instance selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LbPolicy {
     /// Rotate through instances (TeaStore's registry default).
     #[default]

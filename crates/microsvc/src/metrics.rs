@@ -3,7 +3,6 @@
 use crate::app::AppSpec;
 use cputopo::Topology;
 use oskernel::SchedStats;
-use serde::{Deserialize, Serialize};
 use simcore::series::{Agg, TimeSeries};
 use simcore::stats::{LogHistogram, TimeWeighted};
 use simcore::{SimDuration, SimTime};
@@ -30,7 +29,7 @@ fn streaming_series(agg: Agg) -> TimeSeries {
 /// [`crate::overload`] refused, deferred, or denied, by mechanism. All zero
 /// unless overload control is configured — the summary only prints them when
 /// nonzero, so legacy output is unchanged.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OverloadTotals {
     /// Jobs shed because the pending queue was at its admission bound.
     pub shed_queue_full: u64,
@@ -443,7 +442,7 @@ impl Metrics {
 }
 
 /// Per-service results in a [`RunReport`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServiceReport {
     /// Service name.
     pub name: String,
@@ -480,7 +479,7 @@ pub struct ServiceReport {
 }
 
 /// End-of-run measurement summary returned by the engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunReport {
     /// Length of the measurement window.
     pub window: SimDuration,

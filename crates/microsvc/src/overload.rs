@@ -36,13 +36,12 @@
 //! default params draws no extra randomness and schedules no extra events, so
 //! reports stay byte-identical with the feature compiled in but unused.
 
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// Why a policy refused a request. Carried on shed events, trace spans, and
 /// the failure cause delivered to the client, so experiments can attribute
 /// every lost request to the mechanism that dropped it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShedReason {
     /// Admission control: the pending queue was at its bound.
     QueueFull,
@@ -67,7 +66,7 @@ impl std::fmt::Display for ShedReason {
 
 /// Bound (or not) on a per-instance pending queue, and what to do when an
 /// arrival finds it full.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum AdmissionPolicy {
     /// No bound — the pre-overload behaviour.
     #[default]
@@ -98,7 +97,7 @@ impl AdmissionPolicy {
 /// tokens (capped at `cap`); every retry the engine wants to dispatch spends
 /// one token. `refill_per_success = 0.1` is the classic "retries may add at
 /// most 10% load" budget.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryBudgetPolicy {
     /// Tokens deposited per successful reply.
     pub refill_per_success: f64,
@@ -165,7 +164,7 @@ impl RetryBudget {
 }
 
 /// What the concurrency limiter does with an arrival above the limit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LimitAction {
     /// Refuse it outright (fast 503 back to the caller).
     #[default]
@@ -177,7 +176,7 @@ pub enum LimitAction {
 }
 
 /// AIMD concurrency-limit parameters, per instance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LimiterPolicy {
     /// Starting limit.
     pub initial: f64,
@@ -279,7 +278,7 @@ impl AimdLimiter {
 /// when the queue already holds `depth_limits[p]` jobs — like WRED thresholds,
 /// low-priority work stops being admitted while the queue is still shallow
 /// enough for high-priority work to ride out the brownout.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PriorityPolicy {
     /// Priority per request class, indexed by `RequestClassId`. Classes past
     /// the end default to priority 0.
@@ -316,7 +315,7 @@ impl PriorityPolicy {
 /// priorities. With the default, the engine's behaviour — every event, every
 /// RNG draw, every counter — is identical to an engine without the field set,
 /// which is what keeps the E1–E19 golden hashes stable.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OverloadParams {
     /// Per-instance queue bound and full-queue policy.
     pub admission: AdmissionPolicy,

@@ -14,11 +14,10 @@
 
 use crate::fault::FaultCause;
 use crate::ids::{InstanceId, RequestClassId, RequestId, ServiceId};
-use serde::{Deserialize, Serialize};
 use simcore::{Rng, SimDuration, SimTime};
 
 /// One service invocation within a traced request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// The service invoked.
     pub service: ServiceId,
@@ -55,7 +54,7 @@ impl Span {
 }
 
 /// A fully traced request.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestTrace {
     /// The request.
     pub request: RequestId,

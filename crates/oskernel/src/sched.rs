@@ -3,13 +3,12 @@
 use crate::runqueue::RunQueue;
 use crate::task::{Task, TaskId, TaskState};
 use cputopo::{CpuId, CpuSet, Topology};
-use serde::{Deserialize, Serialize};
 use simcore::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use simcore::{SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Tunables of the scheduler, mirroring the knobs the paper turns.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedParams {
     /// Preemption quantum: a running task is preempted after this long if
     /// its CPU's runqueue is non-empty. Linux CFS targets a few ms of
@@ -67,7 +66,7 @@ pub struct Switch {
 }
 
 /// Event counters, matching what `/proc` and `perf sched` would report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SchedStats {
     /// Wakeups processed.
     pub wakeups: u64,

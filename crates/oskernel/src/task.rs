@@ -1,11 +1,10 @@
 //! Task state as the scheduler sees it.
 
 use cputopo::{CpuId, CpuSet};
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// Identifier of a schedulable task (thread).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TaskId(pub u64);
 
 impl TaskId {
@@ -22,7 +21,7 @@ impl core::fmt::Display for TaskId {
 }
 
 /// Lifecycle state of a task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TaskState {
     /// Waiting for CPU on some runqueue.
     Runnable,

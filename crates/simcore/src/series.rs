@@ -6,10 +6,9 @@
 //! keyed by [`SimTime`] and exposes them as `(window_start, value)` points.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// How values landing in the same window combine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Agg {
     /// Sum of values (e.g. completed requests → per-window throughput).
     Sum,
@@ -33,7 +32,7 @@ pub enum Agg {
 /// assert_eq!(pts[0], (SimTime::ZERO, 2.0));
 /// assert_eq!(pts[1], (SimTime::from_millis(100), 1.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
     window: SimDuration,
     agg: Agg,

@@ -12,7 +12,6 @@
 //! * [`RateMeter`] — events per second over a measurement window.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Numerically stable streaming mean and variance (Welford's algorithm).
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((w.mean() - 5.0).abs() < 1e-12);
 /// assert!((w.population_variance() - 4.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Welford {
     n: u64,
     mean: f64,
@@ -149,7 +148,7 @@ impl Welford {
 /// let p50 = h.quantile(0.5);
 /// assert!((450..=550).contains(&p50), "p50 = {p50}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogHistogram {
     // Bucket layout: values < SUBBUCKETS are exact (one bucket per value);
     // beyond that, each power-of-two range is split into SUBBUCKETS linear

@@ -11,7 +11,6 @@
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use serde::{Deserialize, Serialize};
 
 /// An absolute instant in simulated time, in nanoseconds since run start.
 ///
@@ -20,9 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let t = SimTime::ZERO + SimDuration::from_micros(3);
 /// assert_eq!(t.as_nanos(), 3_000);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in nanoseconds.
@@ -31,9 +28,7 @@ pub struct SimTime(u64);
 /// use simcore::SimDuration;
 /// assert_eq!(SimDuration::from_millis(2).as_micros_f64(), 2_000.0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

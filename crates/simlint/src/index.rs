@@ -665,8 +665,8 @@ fn parse_fn(
 /// Scans a function's body lines for calls and allocation-prone needles.
 fn collect_body_facts(file: &SourceFile, def: &mut FnDef) {
     let code = &file.model.code;
-    for idx in def.body_start..=def.body_end.min(code.len().saturating_sub(1)) {
-        let line = &code[idx];
+    let end = def.body_end.min(code.len().saturating_sub(1));
+    for (idx, line) in code.iter().enumerate().take(end + 1).skip(def.body_start) {
         collect_calls(line, idx, &mut def.calls);
         // Allocation needles: H1 owns fenced lines; `allow(H1)` marks a
         // line as sanctioned (cold-start growth), `allow(H3)` waives it

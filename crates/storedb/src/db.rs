@@ -4,13 +4,12 @@ use crate::schema::Schema;
 use crate::table::{OpStats, Row, Table};
 use crate::value::Value;
 use crate::StoreError;
-use serde::{Deserialize, Serialize};
 use simcore::DetHashMap;
 
 /// A named collection of [`Table`]s with pass-through, cost-accounted
 /// operations. Tables are keyed in a fixed-seed hash map (all access is by
 /// name; [`Database::table_names`] sorts at the observation point).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Database {
     tables: DetHashMap<String, Table>,
 }

@@ -1,10 +1,9 @@
 //! Table schemas.
 
-use serde::{Deserialize, Serialize};
 
 /// A table definition: name, column names, and which columns carry
 /// secondary indexes. Every table has an implicit `u64` primary key.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Schema {
     name: String,
     columns: Vec<String>,

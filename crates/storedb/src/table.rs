@@ -3,12 +3,11 @@
 use crate::schema::Schema;
 use crate::value::Value;
 use crate::StoreError;
-use serde::{Deserialize, Serialize};
 use simcore::DetHashMap;
 use std::collections::BTreeMap;
 
 /// A row: primary key plus values in schema column order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// The primary key.
     pub key: u64,
@@ -20,7 +19,7 @@ pub struct Row {
 ///
 /// Costs are *logical* (rows, probes, bytes); converting them to cycles is
 /// the consumer's calibration, not the store's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpStats {
     /// Rows read (including rows skipped by pagination).
     pub rows_read: u64,
@@ -49,7 +48,7 @@ impl OpStats {
 /// is identical on every run). The *inner* index stays a `BTreeMap`: its
 /// keys are [`Value`]s (which include floats, so they cannot be hashed) and
 /// its range order is what makes paged selects deterministic.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Table {
     schema: Option<Schema>,
     rows: DetHashMap<u64, Vec<Value>>,

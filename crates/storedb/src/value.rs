@@ -1,6 +1,5 @@
 //! Column values.
 
-use serde::{Deserialize, Serialize};
 
 /// A typed column value.
 ///
@@ -8,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// can key B-tree indexes; within a variant the natural order applies.
 /// Floats are ordered by their IEEE total order, so NaN is allowed but sorts
 /// deterministically.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// A 64-bit signed integer.
     Int(i64),

@@ -20,13 +20,12 @@
 //! endpoints; see the `microsvc::Demand` docs).
 
 use microsvc::Demand;
-use serde::{Deserialize, Serialize};
 
 /// The coefficient of variation applied to every demand.
 pub const DEMAND_CV: f64 = 0.35;
 
 /// Mean CPU demands (µs) for every TeaStore operation step.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DemandTable {
     /// WebUI: render the landing page skeleton.
     pub webui_home: Demand,

@@ -45,7 +45,6 @@ pub mod catalog;
 pub mod demands;
 
 use microsvc::{AppSpec, CallNode, CallStage, Demand, RequestClassId, ServiceId, ServiceSpec};
-use serde::{Deserialize, Serialize};
 use uarch::ServiceProfile;
 
 /// The request-mix profiles the load driver can replay.
@@ -53,7 +52,7 @@ use uarch::ServiceProfile;
 /// The paper drives the *browse* profile; the others exist for sensitivity
 /// studies (checkout-heavy sale events, authentication storms) and shift the
 /// bottleneck between services.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum MixProfile {
     /// The standard browsing session mix (the paper's workload).
     #[default]
@@ -77,7 +76,7 @@ impl MixProfile {
 }
 
 /// Ids of the seven deployed services.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Services {
     /// The servlet frontend.
     pub webui: ServiceId,
@@ -96,7 +95,7 @@ pub struct Services {
 }
 
 /// Ids of the six browse-profile request classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Classes {
     /// The landing page.
     pub home: RequestClassId,

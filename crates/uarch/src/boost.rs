@@ -14,10 +14,9 @@
 //! calibrated headline experiments are boost-free; experiment E14 ablates
 //! it.
 
-use serde::{Deserialize, Serialize};
 
 /// Frequency multiplier as a function of active-core fraction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum BoostModel {
     /// No boost: the machine always runs at nominal frequency.
     #[default]

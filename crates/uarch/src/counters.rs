@@ -8,13 +8,12 @@
 
 use crate::params::{ExecContext, UarchParams};
 use crate::profile::ServiceProfile;
-use serde::{Deserialize, Serialize};
 
 /// Accumulated performance-counter state.
 ///
 /// All counts are exact sums over recorded slices; derived metrics come from
 /// [`PerfCounters::derive`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PerfCounters {
     /// Retired instructions.
     pub instructions: u64,
@@ -37,7 +36,7 @@ pub struct PerfCounters {
 }
 
 /// Metrics derived from raw counters, matching the paper's tables.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DerivedMetrics {
     /// Instructions per cycle.
     pub ipc: f64,

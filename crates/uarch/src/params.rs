@@ -9,14 +9,13 @@
 use crate::boost::BoostModel;
 use crate::profile::ServiceProfile;
 use cputopo::Proximity;
-use serde::{Deserialize, Serialize};
 use simcore::SimDuration;
 
 /// A multiplicative execution-speed factor in `(0, 1]`.
 ///
 /// 1.0 = reference conditions (alone, warm, local memory). A task with
 /// factor `f` retires its reference cycles at `f × nominal_frequency`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct SpeedFactor(f64);
 
 impl SpeedFactor {
@@ -37,7 +36,7 @@ impl SpeedFactor {
 }
 
 /// The surroundings of a running task, as seen by the contention model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExecContext {
     /// Is the SMT sibling of this logical CPU currently executing a task?
     pub smt_sibling_busy: bool,
@@ -61,7 +60,7 @@ impl ExecContext {
 }
 
 /// The price of one RPC between two service instances.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RpcCost {
     /// Wire + protocol-stack latency (not occupying any CPU).
     pub latency: SimDuration,
@@ -75,7 +74,7 @@ pub struct RpcCost {
 ///
 /// Defaults model a Zen2-class server part at 2.25 GHz. See each field for
 /// provenance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UarchParams {
     /// Per-thread throughput when both SMT siblings are busy, relative to
     /// running alone. 0.62 ⇒ a fully co-run core delivers 1.24× the work of

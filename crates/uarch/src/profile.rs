@@ -1,6 +1,5 @@
 //! Per-service microarchitectural profiles.
 
-use serde::{Deserialize, Serialize};
 
 /// The microarchitectural signature of one service (or reference workload).
 ///
@@ -9,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// there. Values are calibrated against published characterizations of
 /// Java/Tomcat-class microservices (low IPC, heavy frontend pressure, large
 /// instruction footprints) and SPEC-class compute kernels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceProfile {
     /// Short identifier used in reports.
     pub name: String,

@@ -9,6 +9,9 @@
 //!    tables — the work-stealing pool only changes *when* a point runs, the
 //!    merge order is the sweep order.
 //!
+//! The E3/E8 CSVs that `repro --csv` writes through the experiment registry
+//! are hashed the same way.
+//!
 //! The fault (E18/E19) and overload (E20/E21) experiments are pinned the
 //! same way: hashes catch drift from the overload-control machinery, the
 //! jobs test catches any nondeterminism in their sweeps. E27 (warm-start
@@ -51,6 +54,34 @@ fn e3_e8_quick_tables_match_golden_hashes() {
         "E8 quick table drifted; new hash {:#018x}, table:\n{e8}",
         fnv1a(&e8)
     );
+}
+
+/// The CSV a registry row writes under `--csv`, for the quick config.
+fn quick_csv(id: &str) -> (&'static str, String) {
+    let row = scaleup_bench::registry::find(id).expect("registered id");
+    let mut html = scaleup::html::HtmlReport::new("golden");
+    let outcome = (row.run)(&Config::quick(42), true, None, &mut html).expect("row runs");
+    outcome.csv.expect("row writes a CSV")
+}
+
+#[test]
+fn e3_e8_quick_csvs_match_golden_hashes() {
+    let _guard = JOBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    // Recorded from `repro --quick --seed 42 --csv` before the experiment
+    // registry replaced the per-id dispatch in the `repro` binary.
+    for (id, file, golden) in [
+        ("e3", "e3_load_curve.csv", 0x7729_12a3_6d88_055d_u64),
+        ("e8", "e8_placement.csv", 0xf71c_39b9_9e0f_53f5),
+    ] {
+        let (name, csv) = quick_csv(id);
+        assert_eq!(name, file);
+        assert_eq!(
+            fnv1a(&csv),
+            golden,
+            "{id} quick CSV drifted; new hash {:#018x}, CSV:\n{csv}",
+            fnv1a(&csv)
+        );
+    }
 }
 
 #[test]
