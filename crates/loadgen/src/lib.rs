@@ -144,7 +144,17 @@ impl UserTable {
             let key = r.u64()?;
             buckets.insert(key, Vec::<u32>::load(r)?);
         }
-        let spare = vec![Vec::new(); r.usize()?];
+        // Every pooled vector once held a bucket of distinct users, so the
+        // pool never outnumbers the population — a bound that also keeps a
+        // corrupt count from allocating.
+        let n_spare = r.usize()?;
+        if n_spare > deadline_ns.len() {
+            return Err(SnapError::Corrupt(format!(
+                "wake-bucket pool of {n_spare} exceeds the {} users",
+                deadline_ns.len()
+            )));
+        }
+        let spare = vec![Vec::new(); n_spare];
         Ok(UserTable {
             deadline_ns,
             buckets,
@@ -810,6 +820,23 @@ mod tests {
         let mut r = SnapReader::new(&bytes).unwrap();
         match other.snap_restore(&mut r) {
             Err(SnapError::Corrupt(msg)) => assert!(msg.contains("8-user"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn wake_table_rejects_an_oversized_spare_pool() {
+        use simcore::snap::{SnapError, SnapReader, SnapWriter};
+        let mut w = SnapWriter::new();
+        vec![0u64; 4].save(&mut w); // four users' deadlines
+        w.usize(0); // no buckets
+        w.usize(1 << 40); // a spare pool no population could have filled
+        w.usize(0);
+        w.usize(0);
+        let bytes = w.finish();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        match UserTable::snap_load(&mut r) {
+            Err(SnapError::Corrupt(msg)) => assert!(msg.contains("exceeds"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }

@@ -278,9 +278,6 @@ struct CpuExec {
     since: SimTime,
     gen: u64,
     done_token: EventToken,
-    /// Pending quantum tick, cancelled on teardown/re-rate so stale ticks
-    /// never reach the calendar's hot path.
-    quantum_token: EventToken,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1344,7 +1341,7 @@ impl Engine {
         }
         self.flush_progress(cpu);
         let exec = self.exec[cpu.index()].take().expect("checked above");
-        self.cal.cancel(exec.quantum_token);
+        self.cal.disarm_lane(cpu.index());
         let worker = exec.worker;
         let job_id = self.workers[worker]
             .job
@@ -1363,13 +1360,7 @@ impl Engine {
         }
         if self.sched.runqueue_len(cpu) == 0 {
             // Nothing to round-robin with; keep ticking.
-            let quantum = self.params.sched.quantum;
-            let token = self
-                .cal
-                .schedule(self.now() + quantum, Event::Quantum { cpu: cpu.0, gen });
-            if let Some(e) = self.exec[cpu.index()].as_mut() {
-                e.quantum_token = token;
-            }
+            self.arm_quantum(cpu, gen);
             return;
         }
         // Preempt: flush, tear down exec, let the scheduler rotate.
@@ -1921,10 +1912,7 @@ impl Engine {
         let done_token = self
             .cal
             .schedule(self.now() + eta, Event::WorkDone { cpu: cpu.0, gen });
-        let quantum_token = self.cal.schedule(
-            self.now() + self.params.sched.quantum,
-            Event::Quantum { cpu: cpu.0, gen },
-        );
+        self.arm_quantum(cpu, gen);
         self.exec[cpu.index()] = Some(CpuExec {
             worker,
             rate,
@@ -1933,10 +1921,20 @@ impl Engine {
             since: self.now(),
             gen,
             done_token,
-            quantum_token,
         });
         self.instances[self.workers[worker].instance].rep_cpu = cpu;
-        self.rerate_neighbors(cpu);
+        // `ctx` already counts `worker` on `cpu`, so its pressure is what
+        // every neighbor now sees.
+        self.rerate_neighbors(cpu, Some(ctx.ccx_pressure));
+    }
+
+    /// Arms `cpu`'s preemption tick one quantum from now, replacing the
+    /// pending one. Every tick is the same fixed delay from a monotone
+    /// clock, so ticks ride the calendar's O(1) fixed-delay lane.
+    fn arm_quantum(&mut self, cpu: CpuId, gen: u64) {
+        let at = self.now() + self.params.sched.quantum;
+        self.cal
+            .arm_lane(cpu.index(), at, Event::Quantum { cpu: cpu.0, gen });
     }
 
     /// Tears down execution on `cpu` (after flushing progress) and re-rates
@@ -1947,8 +1945,8 @@ impl Engine {
             .take()
             .expect("release_exec on idle cpu");
         self.cal.cancel(exec.done_token);
-        self.cal.cancel(exec.quantum_token);
-        self.rerate_neighbors(cpu);
+        self.cal.disarm_lane(cpu.index());
+        self.rerate_neighbors(cpu, None);
     }
 
     /// Adjusts the busy-CPU utilization clocks for `worker`'s service, and
@@ -2027,8 +2025,9 @@ impl Engine {
     }
 
     /// Re-rates every other running task in `cpu`'s L3 domain (their SMT /
-    /// cache-pressure context may have changed).
-    fn rerate_neighbors(&mut self, cpu: CpuId) {
+    /// cache-pressure context may have changed). `pressure` is the domain's
+    /// current [`Engine::ccx_pressure`] when the caller already has it.
+    fn rerate_neighbors(&mut self, cpu: CpuId, pressure: Option<f64>) {
         let ccx = self.topo.ccx_of(cpu);
         let mut neighbors = std::mem::take(&mut self.cpu_scratch);
         neighbors.clear();
@@ -2044,7 +2043,7 @@ impl Engine {
             // `exec_context` is the identity — so every neighbor sees
             // exactly this CCX pressure. Compute the working-set scan once
             // instead of once per neighbor.
-            let pressure = self.ccx_pressure(ccx);
+            let pressure = pressure.unwrap_or_else(|| self.ccx_pressure(ccx));
             for &c in &neighbors {
                 self.flush_progress(c);
                 let Some(exec) = self.exec[c.index()] else {
@@ -2111,7 +2110,6 @@ impl Engine {
             return;
         }
         self.cal.cancel(exec.done_token);
-        self.cal.cancel(exec.quantum_token);
         let job_id = self.workers[exec.worker]
             .job
             .expect("running worker holds a job");
@@ -2122,10 +2120,7 @@ impl Engine {
         let done_token = self
             .cal
             .schedule(self.now() + eta, Event::WorkDone { cpu: cpu.0, gen });
-        let quantum_token = self.cal.schedule(
-            self.now() + self.params.sched.quantum,
-            Event::Quantum { cpu: cpu.0, gen },
-        );
+        self.arm_quantum(cpu, gen);
         self.exec[cpu.index()] = Some(CpuExec {
             worker: exec.worker,
             rate,
@@ -2134,7 +2129,6 @@ impl Engine {
             since: self.now(),
             gen,
             done_token,
-            quantum_token,
         });
     }
 
@@ -2320,7 +2314,8 @@ impl Engine {
             }
             let idle_workers = Vec::<usize>::load(r)?;
             let n_pending = r.usize()?;
-            let mut pending = VecDeque::with_capacity(n_pending);
+            // Eight bytes per queued job bound the reservation.
+            let mut pending = VecDeque::with_capacity(n_pending.min(r.remaining() / 8));
             for _ in 0..n_pending {
                 pending.push_back(r.u64()?);
             }
@@ -2785,7 +2780,6 @@ impl Snap for CpuExec {
         self.since.save(w);
         w.u64(self.gen);
         self.done_token.save(w);
-        self.quantum_token.save(w);
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
@@ -2801,7 +2795,6 @@ impl Snap for CpuExec {
             since: SimTime::load(r)?,
             gen: r.u64()?,
             done_token: EventToken::load(r)?,
-            quantum_token: EventToken::load(r)?,
         })
     }
 }
@@ -4066,5 +4059,67 @@ mod tests {
         }
     }
 
+    #[test]
+    fn quantum_ticks_never_enter_the_wheel_slab() {
+        // Quantum ticks live on the calendar's fixed-delay lane: a mid-run
+        // snapshot holds one per running CPU there, and none in the slab
+        // (not even as cancelled tombstones).
+        let topo = Arc::new(Topology::desktop_8c());
+        let (app, _) = one_service_app(400.0);
+        let deployment = Deployment::uniform(&app, &topo, 2, 2);
+        let mut engine = Engine::new(topo, EngineParams::default(), app, deployment, 7);
+        engine.run(&mut ResubmitDriver { clients: 16 }, SimTime::from_millis(7));
+        let running = engine.exec.iter().flatten().count();
+        assert!(running > 0, "the checkpoint has CPUs mid-slice");
+        let mut w = SnapWriter::new();
+        engine.snap_save(&mut w);
+        let bytes = w.finish();
 
+        // Walk the calendar section of the engine snapshot.
+        let mut r = SnapReader::new(&bytes).expect("valid envelope");
+        r.section("engine").unwrap();
+        r.u64().unwrap(); // config fingerprint
+        r.section("calendar").unwrap();
+        for _ in 0..5 {
+            r.u64().unwrap(); // now, base, next_seq, live, high_water
+        }
+        let slab = r.usize().unwrap();
+        for _ in 0..slab {
+            r.u64().unwrap(); // at
+            r.u64().unwrap(); // seq
+            r.u32().unwrap(); // gen
+            r.bool().unwrap(); // cancelled
+            let payload = Option::<Event>::load(&mut r).unwrap();
+            assert!(
+                !matches!(payload, Some(Event::Quantum { .. })),
+                "a quantum tick was scheduled on the wheel"
+            );
+        }
+        Vec::<u32>::load(&mut r).unwrap(); // free
+        Vec::<u32>::load(&mut r).unwrap(); // ready
+        for _ in 0..4 {
+            for _ in 0..r.usize().unwrap() {
+                r.u32().unwrap(); // slot
+                Vec::<u32>::load(&mut r).unwrap();
+            }
+        }
+        for _ in 0..r.usize().unwrap() {
+            r.u32().unwrap(); // overflow entry
+        }
+        Vec::<u64>::load(&mut r).unwrap(); // lane_seq
+        let lane = r.usize().unwrap();
+        for _ in 0..lane {
+            let cpu = r.u32().unwrap();
+            r.u64().unwrap(); // at
+            match Event::load(&mut r).unwrap() {
+                Event::Quantum { cpu: c, gen } => {
+                    assert_eq!(c, cpu, "lane key is the CPU");
+                    let exec = engine.exec[cpu as usize].expect("tick for a running CPU");
+                    assert_eq!(exec.gen, gen, "the pending tick is the current slice's");
+                }
+                other => panic!("non-quantum event {other:?} on the lane"),
+            }
+        }
+        assert_eq!(lane, running, "one pending tick per running CPU");
+    }
 }

@@ -15,7 +15,8 @@
 //! wheel's current base). Scheduling and cancellation are O(1); popping
 //! drains one level-0 slot at a time into a sorted `ready` batch, so the
 //! per-event cost is the amortized cost of one small sort — no hashing, no
-//! global heap rebalance.
+//! global heap rebalance. Cascading a higher-level slot re-files its entries
+//! in slot order, without sorting them.
 //!
 //! Cancellation is supported through [`EventToken`]s: cancelling drops the
 //! payload immediately and leaves a tombstone in whatever slot the entry
@@ -23,19 +24,48 @@
 //! generation-tagged, so a stale token (for an event that already fired or
 //! was cancelled) is harmless.
 //!
+//! # The fixed-delay lane
+//!
+//! Some timers are re-armed far more often than they fire — a scheduler's
+//! preemption tick is replaced every time its CPU starts or re-rates a
+//! slice. Those go to a keyed lane instead of the wheel:
+//! [`Calendar::arm_lane`] replaces the key's pending timer, and
+//! [`Calendar::disarm_lane`] drops it, both in O(1). The lane is a FIFO plus
+//! the current sequence number of each key; a replaced or disarmed entry
+//! stays in the FIFO until it reaches the head, where it is dropped without
+//! ever touching the slab or a wheel slot. Callers arm lane timers in
+//! non-decreasing time order (a constant delay from a monotone clock does
+//! this by construction), so the FIFO head is always the earliest lane
+//! timer. Lane timers draw sequence numbers from the same counter as
+//! scheduled events and count in [`Calendar::len`] and
+//! [`Calendar::high_water`] alike, and `pop` takes the lane head whenever
+//! its `(time, seq)` is below the ready batch's: the pop order is exactly
+//! the one the same timers would get from `schedule` and `cancel`.
+//!
 //! # Ordering invariant
 //!
-//! All pending events strictly earlier than the wheel base live in the
+//! All pending wheel events strictly earlier than the wheel base live in the
 //! sorted `ready` batch; the wheel and overflow heap only hold events at or
 //! after the base. An event is placed at the *lowest* level whose block
 //! (256-slot page) contains both the event time and the base — this rule
 //! means a forward slot scan never skips an event that wrapped into the next
 //! block, and cascading a higher-level slot always lands its entries at
 //! strictly lower levels.
+//!
+//! # Snapshots
+//!
+//! A snapshot (format version 2) records the slab, the free list, the ready
+//! batch, every non-empty wheel slot's index list in slot order, the
+//! overflow heap in its internal order, and the lane's pending timers. A
+//! restored calendar is structurally identical to the live one — only the
+//! lane's already-dead entries are left behind — so it recycles slab
+//! entries, and therefore hands out tokens, exactly as the live one would.
+//! Loading checks every index, placement, and count and rejects any
+//! inconsistency with [`SnapError::Corrupt`](crate::snap::SnapError::Corrupt).
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// log2 of the level-0 slot width in nanoseconds (1024 ns).
 const GRAIN_BITS: u32 = 10;
@@ -55,6 +85,9 @@ const GRAIN_MASK: u64 = (1 << GRAIN_BITS) - 1;
 /// empty (see `drain_overflow`): below this the allocation is noise, above
 /// it a dead heap visibly distorts `footprint_bytes`.
 const OVERFLOW_SHRINK_MIN: usize = 1024;
+
+/// `lane_seq` value of a key with no pending lane timer.
+const LANE_IDLE: u64 = u64::MAX;
 
 #[inline]
 fn level_shift(level: usize) -> u32 {
@@ -104,6 +137,16 @@ struct Entry<E> {
     gen: u32,
     cancelled: bool,
     payload: Option<E>,
+}
+
+/// A timer in the fixed-delay lane. It is pending while `seq` is still its
+/// key's current sequence number.
+#[derive(Debug)]
+struct LaneEntry<E> {
+    at: u64,
+    seq: u64,
+    key: u32,
+    payload: E,
 }
 
 #[derive(Debug)]
@@ -171,9 +214,9 @@ impl Level {
 pub struct Calendar<E> {
     slab: Vec<Entry<E>>,
     free: Vec<u32>,
-    levels: Vec<Level>, // simlint: allow(S1) — rebuilt from the slab on load
+    levels: Vec<Level>,
     /// Events beyond the wheel horizon, min-ordered by (time, seq).
-    overflow: BinaryHeap<(Reverse<(u64, u64)>, u32)>, // simlint: allow(S1) — rebuilt from the slab on load
+    overflow: BinaryHeap<(Reverse<(u64, u64)>, u32)>,
     /// Entry indices with `at < base`, sorted descending by (at, seq) so the
     /// earliest event pops from the back.
     ready: Vec<u32>,
@@ -186,6 +229,11 @@ pub struct Calendar<E> {
     /// Most live events ever pending at once (memory high-water mark).
     high_water: usize,
     now: SimTime,
+    /// Fixed-delay lane timers in arming order, which is (time, seq) order.
+    lane: VecDeque<LaneEntry<E>>,
+    /// Per lane key, the sequence number of its pending timer, or
+    /// `LANE_IDLE`.
+    lane_seq: Vec<u64>,
 }
 
 impl<E> Default for Calendar<E> {
@@ -209,6 +257,8 @@ impl<E> Calendar<E> {
             live: 0,
             high_water: 0,
             now: SimTime::ZERO,
+            lane: VecDeque::new(),
+            lane_seq: Vec::new(),
         }
     }
 
@@ -253,8 +303,11 @@ impl<E> Calendar<E> {
             .sum();
         let heap =
             self.overflow.capacity() * std::mem::size_of::<(Reverse<(u64, u64)>, u32)>();
+        let lane = self.lane.capacity() * std::mem::size_of::<LaneEntry<E>>()
+            + self.lane_seq.capacity() * std::mem::size_of::<u64>();
         slab + slots
             + heap
+            + lane
             + (self.free.capacity() + self.ready.capacity() + self.scratch.capacity()) * idx
     }
 
@@ -345,9 +398,8 @@ impl<E> Calendar<E> {
     /// sequence number and updating the live count and high-water mark.
     #[inline]
     fn alloc(&mut self, ns: u64, payload: E) -> (u32, u32) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let out = match self.free.pop() {
+        let seq = self.next_live_seq();
+        match self.free.pop() {
             Some(idx) => {
                 let e = &mut self.slab[idx as usize];
                 e.at = ns;
@@ -367,12 +419,20 @@ impl<E> Calendar<E> {
                 });
                 (idx, 0)
             }
-        };
+        }
+    }
+
+    /// Draws the sequence number of a new pending event and counts it in
+    /// the live total and the high-water mark.
+    #[inline]
+    fn next_live_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
         self.live += 1;
         if self.live > self.high_water {
             self.high_water = self.live;
         }
-        out
+        seq
     }
 
     /// Inserts an already-allocated entry into the sorted ready batch
@@ -405,31 +465,134 @@ impl<E> Calendar<E> {
         }
     }
 
+    /// Arms the fixed-delay lane timer of `key` to fire `payload` at `at`,
+    /// replacing the key's pending lane timer if it has one.
+    ///
+    /// Lane timers share the ordering of scheduled events: `at` and the
+    /// next insertion sequence number decide when this one pops, exactly as
+    /// for [`Calendar::schedule`]. Keys index a dense table, so use small
+    /// integers (a CPU number, say).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the calendar's current time, or
+    /// earlier than the last lane timer armed for any key: lane deadlines
+    /// must be armed in non-decreasing order, which a constant delay from
+    /// the current time guarantees.
+    pub fn arm_lane(&mut self, key: usize, at: SimTime, payload: E) {
+        assert!(
+            at >= self.now,
+            "cannot schedule into the past: at={at} < now={}",
+            self.now
+        );
+        let ns = at.as_nanos();
+        if let Some(back) = self.lane.back() {
+            assert!(
+                ns >= back.at,
+                "lane timers must be armed in time order: at={at} < last armed {}",
+                SimTime::from_nanos(back.at)
+            );
+        }
+        let key32 = u32::try_from(key).expect("lane key exceeds u32");
+        if key >= self.lane_seq.len() {
+            self.lane_seq.resize(key + 1, LANE_IDLE);
+        }
+        if self.lane_seq[key] != LANE_IDLE {
+            self.live -= 1;
+        }
+        let seq = self.next_live_seq();
+        self.lane_seq[key] = seq;
+        self.lane.push_back(LaneEntry {
+            at: ns,
+            seq,
+            key: key32,
+            payload,
+        });
+    }
+
+    /// Drops the pending lane timer of `key`.
+    ///
+    /// Returns `true` if the key had one (it will now never fire), `false`
+    /// if it had none.
+    pub fn disarm_lane(&mut self, key: usize) -> bool {
+        match self.lane_seq.get_mut(key) {
+            Some(seq) if *seq != LANE_IDLE => {
+                *seq = LANE_IDLE;
+                self.live -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Pops the earliest live event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the calendar is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if !self.ensure_ready() {
-            return None;
-        }
-        let idx = self.ready.pop().expect("ensure_ready lied") as usize;
-        let e = &mut self.slab[idx];
-        let at = SimTime::from_nanos(e.at);
-        let payload = e.payload.take().expect("live ready entry without payload");
+        let (at, payload) = if self.next_in_lane()? {
+            let e = self.lane.pop_front().expect("lane head checked");
+            self.lane_seq[e.key as usize] = LANE_IDLE;
+            (e.at, e.payload)
+        } else {
+            let idx = self.ready.pop().expect("ready back checked");
+            let e = &mut self.slab[idx as usize];
+            let out = (e.at, e.payload.take().expect("live ready entry without payload"));
+            self.recycle(idx);
+            out
+        };
+        let at = SimTime::from_nanos(at);
         self.now = at;
         self.live -= 1;
-        self.recycle(idx as u32);
         Some((at, payload))
     }
 
     /// The timestamp of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.ensure_ready() {
-            let idx = *self.ready.last().expect("ensure_ready lied") as usize;
-            Some(SimTime::from_nanos(self.slab[idx].at))
+        let ns = if self.next_in_lane()? {
+            self.lane.front().expect("lane head checked").at
         } else {
-            None
+            self.ready_key().0
+        };
+        Some(SimTime::from_nanos(ns))
+    }
+
+    /// Where the earliest live event waits: `Some(true)` at the lane head,
+    /// `Some(false)` at the back of `ready`, `None` if nothing is pending.
+    #[inline]
+    fn next_in_lane(&mut self) -> Option<bool> {
+        let lane = self.lane_head();
+        // Every wheel event before `base` is already in `ready`, so a lane
+        // head before `base` is compared without draining the wheel.
+        let wheel = match lane {
+            Some((at, _)) if at < self.base => self.trim_ready(),
+            _ => self.ensure_ready(),
+        };
+        match (lane, wheel) {
+            (None, false) => None,
+            (Some(_), false) => Some(true),
+            (None, true) => Some(false),
+            (Some(head), true) => Some(head < self.ready_key()),
         }
+    }
+
+    /// `(at, seq)` of the earliest pending lane timer, dropping replaced
+    /// and disarmed entries off the head on the way.
+    #[inline]
+    fn lane_head(&mut self) -> Option<(u64, u64)> {
+        while let Some(e) = self.lane.front() {
+            if self.lane_seq[e.key as usize] == e.seq {
+                return Some((e.at, e.seq));
+            }
+            self.lane.pop_front();
+        }
+        None
+    }
+
+    /// `(at, seq)` of the entry at the back of a non-empty `ready`.
+    #[inline]
+    fn ready_key(&self) -> (u64, u64) {
+        let e = &self.slab[*self.ready.last().expect("ready is non-empty") as usize];
+        (e.at, e.seq)
     }
 
     /// Returns a slab entry to the free list, bumping its generation so any
@@ -459,21 +622,30 @@ impl<E> Calendar<E> {
     }
 
     /// Guarantees the back of `ready` is a live entry, refilling from the
-    /// wheel/overflow as needed. Returns `false` when no live events remain.
+    /// wheel/overflow as needed. Returns `false` when no live wheel events
+    /// remain.
     fn ensure_ready(&mut self) -> bool {
         loop {
-            while let Some(&idx) = self.ready.last() {
-                if self.slab[idx as usize].cancelled {
-                    self.ready.pop();
-                    self.recycle(idx);
-                } else {
-                    return true;
-                }
+            if self.trim_ready() {
+                return true;
             }
             if !self.refill() {
                 return false;
             }
         }
+    }
+
+    /// Reclaims tombstones off the back of `ready`; `true` if a live entry
+    /// is left there.
+    fn trim_ready(&mut self) -> bool {
+        while let Some(&idx) = self.ready.last() {
+            if !self.slab[idx as usize].cancelled {
+                return true;
+            }
+            self.ready.pop();
+            self.recycle(idx);
+        }
+        false
     }
 
     /// Drains the next non-empty time window into `ready` (sorted).
@@ -546,20 +718,16 @@ impl<E> Calendar<E> {
     /// Re-distributes one slot's entries into lower levels relative to the
     /// current base, reclaiming tombstones along the way.
     ///
-    /// Entries are processed in (time, seq) order, *not* slot insertion
-    /// order. Pop order never depends on slot order (ready batches are
-    /// sorted), but the order tombstones hit the free list here decides
-    /// which slab slots later events reuse — and a snapshot-restored wheel
-    /// cannot reproduce insertion order. Sorting makes the recycle sequence
-    /// a pure function of the entries themselves, so a restored calendar
-    /// stays byte-identical to the live one it was taken from.
+    /// Entries are processed in slot order. Pop order never depends on slot
+    /// order (ready batches are sorted by (time, seq)), but the order
+    /// tombstones hit the free list here decides which slab entries later
+    /// events reuse. Snapshots therefore carry every slot's index list
+    /// verbatim, so a restored wheel cascades — and recycles — exactly as
+    /// the live one would.
     fn cascade(&mut self, level: usize, slot: usize) {
         debug_assert!(self.scratch.is_empty());
         std::mem::swap(&mut self.scratch, &mut self.levels[level].slots[slot]);
         self.levels[level].unmark(slot);
-        let slab = &self.slab;
-        self.scratch
-            .sort_unstable_by_key(|&i| (slab[i as usize].at, slab[i as usize].seq));
         for i in 0..self.scratch.len() {
             let idx = self.scratch[i];
             let e = &self.slab[idx as usize];
@@ -625,13 +793,19 @@ impl Snap for EventToken {
     }
 }
 
+/// Smallest encoding of one slab entry (`at`, `seq`, `gen`, `cancelled`, and
+/// an empty payload tag): bounds the slab reservation by the bytes left.
+const ENTRY_MIN_BYTES: usize = 8 + 8 + 4 + 1 + 1;
+
 /// The calendar serializes its slab *exactly* — entry order, generations,
 /// free list, and the sorted `ready` batch — so outstanding [`EventToken`]s
-/// held elsewhere in a snapshot stay valid after restore. Only the wheel
-/// levels and the overflow heap are rebuilt: given the restored `base`, an
-/// entry's (level, slot) placement is a pure function of its timestamp
-/// (`insert_wheel`), and pop order within a slot is recovered by the sorted
-/// refill, so the rebuilt calendar replays the exact event sequence.
+/// held elsewhere in a snapshot stay valid after restore. The wheel travels
+/// slot for slot (each non-empty slot's index list, in order) and the
+/// overflow heap in its internal order, so the restored calendar cascades
+/// and recycles slab entries exactly like the live one. The lane travels as
+/// its per-key sequence table plus its pending timers in FIFO order; the
+/// replaced and disarmed entries still queued in the live lane are left
+/// behind, since they can never fire.
 impl<E: Snap> Snap for Calendar<E> {
     fn save(&self, w: &mut SnapWriter) {
         w.section("calendar");
@@ -650,9 +824,32 @@ impl<E: Snap> Snap for Calendar<E> {
         }
         self.free.save(w);
         self.ready.save(w);
+        for level in &self.levels {
+            let occupied = level.slots.iter().filter(|s| !s.is_empty());
+            w.usize(occupied.count());
+            for (s, idxs) in level.slots.iter().enumerate() {
+                if !idxs.is_empty() {
+                    w.u32(s as u32);
+                    idxs.save(w);
+                }
+            }
+        }
+        w.usize(self.overflow.len());
+        for &(_, idx) in self.overflow.iter() {
+            w.u32(idx);
+        }
+        self.lane_seq.save(w);
+        let pending = |e: &&LaneEntry<E>| self.lane_seq[e.key as usize] == e.seq;
+        w.usize(self.lane.iter().filter(pending).count());
+        for e in self.lane.iter().filter(pending) {
+            w.u32(e.key);
+            w.u64(e.at);
+            e.payload.save(w);
+        }
     }
 
     fn load(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
+        let corrupt = |what: String| SnapError::Corrupt(format!("calendar {what}"));
         r.section("calendar")?;
         let mut cal = Calendar::new();
         cal.now = SimTime::from_nanos(r.u64()?);
@@ -661,7 +858,7 @@ impl<E: Snap> Snap for Calendar<E> {
         cal.live = r.usize()?;
         cal.high_water = r.usize()?;
         let n = r.usize()?;
-        cal.slab = Vec::with_capacity(n);
+        cal.slab = Vec::with_capacity(n.min(r.remaining() / ENTRY_MIN_BYTES));
         for _ in 0..n {
             cal.slab.push(Entry {
                 at: r.u64()?,
@@ -673,24 +870,136 @@ impl<E: Snap> Snap for Calendar<E> {
         }
         cal.free = Vec::<u32>::load(r)?;
         cal.ready = Vec::<u32>::load(r)?;
-        let mut in_wheel = vec![true; n];
-        for &idx in cal.free.iter().chain(cal.ready.iter()) {
-            let slot = in_wheel
-                .get_mut(idx as usize)
-                .ok_or_else(|| SnapError::Corrupt(format!("calendar index {idx} out of range")))?;
-            *slot = false;
+        for level in 0..LEVELS {
+            let occupied = r.usize()?;
+            if occupied > SLOTS {
+                return Err(corrupt(format!("level {level} lists {occupied} slots")));
+            }
+            for _ in 0..occupied {
+                let s = r.u32()? as usize;
+                let idxs = Vec::<u32>::load(r)?;
+                let lvl = &mut cal.levels[level];
+                if s >= SLOTS || lvl.occupied(s) || idxs.is_empty() {
+                    return Err(corrupt(format!("level {level} slot {s} is listed badly")));
+                }
+                lvl.slots[s] = idxs;
+                lvl.mark(s);
+            }
         }
-        for (idx, pending) in in_wheel.into_iter().enumerate() {
-            if !pending {
-                continue;
+        let n_over = r.usize()?;
+        let mut overflow = Vec::with_capacity(n_over.min(r.remaining() / 4));
+        for _ in 0..n_over {
+            overflow.push(r.u32()?);
+        }
+        cal.lane_seq = Vec::<u64>::load(r)?;
+        let n_lane = r.usize()?;
+        cal.lane = VecDeque::with_capacity(n_lane.min(cal.lane_seq.len()));
+        for _ in 0..n_lane {
+            let key = r.u32()?;
+            let at = r.u64()?;
+            let payload = E::load(r)?;
+            let seq = *cal
+                .lane_seq
+                .get(key as usize)
+                .ok_or_else(|| corrupt(format!("lane key {key} out of range")))?;
+            cal.lane.push_back(LaneEntry { at, seq, key, payload });
+        }
+
+        // Every slab entry sits in exactly one place: the free list, or one
+        // of ready, a wheel slot, and the overflow heap.
+        let mut seen = vec![false; n];
+        let mut claim = |idx: u32| -> Result<(), SnapError> {
+            let slot = seen
+                .get_mut(idx as usize)
+                .ok_or_else(|| corrupt(format!("index {idx} out of range")))?;
+            if std::mem::replace(slot, true) {
+                return Err(corrupt(format!("entry {idx} is listed twice")));
             }
-            let at = cal.slab[idx].at;
-            if at < cal.base {
-                return Err(SnapError::Corrupt(format!(
-                    "calendar entry {idx} is before the wheel base but not in ready"
-                )));
+            Ok(())
+        };
+        for &idx in &cal.free {
+            claim(idx)?;
+            let e = &cal.slab[idx as usize];
+            if e.cancelled || e.payload.is_some() {
+                return Err(corrupt(format!("free entry {idx} is still in use")));
             }
-            cal.insert_wheel(idx as u32, at);
+        }
+        let mut pending = 0usize;
+        let mut check = |idx: u32| -> Result<u64, SnapError> {
+            claim(idx)?;
+            let e = &cal.slab[idx as usize];
+            if e.cancelled == e.payload.is_some() || e.seq >= cal.next_seq {
+                return Err(corrupt(format!("entry {idx} has an impossible state")));
+            }
+            pending += usize::from(!e.cancelled);
+            Ok(e.at)
+        };
+        let mut prev = None;
+        for &idx in &cal.ready {
+            let at = check(idx)?;
+            let key = (at, cal.slab[idx as usize].seq);
+            if at >= cal.base || prev.is_some_and(|p| p <= key) {
+                return Err(corrupt(format!("ready entry {idx} is out of order")));
+            }
+            prev = Some(key);
+        }
+        for (level, lvl) in cal.levels.iter().enumerate() {
+            for (s, idxs) in lvl.slots.iter().enumerate() {
+                for &idx in idxs {
+                    let at = check(idx)?;
+                    let placed = block_of(at, level) == block_of(cal.base, level)
+                        && slot_of(at, level) == s;
+                    if at < cal.base || !placed {
+                        return Err(corrupt(format!(
+                            "entry {idx} at {at} ns does not belong in level {level} slot {s}"
+                        )));
+                    }
+                }
+            }
+        }
+        for &idx in &overflow {
+            if check(idx)? < cal.base {
+                return Err(corrupt(format!("overflow entry {idx} is before the wheel base")));
+            }
+        }
+        if let Some(idx) = seen.iter().position(|&s| !s) {
+            return Err(corrupt(format!("entry {idx} is in no container")));
+        }
+        cal.overflow = overflow
+            .into_iter()
+            .map(|idx| {
+                let e = &cal.slab[idx as usize];
+                (Reverse((e.at, e.seq)), idx)
+            })
+            .collect();
+
+        // The lane holds each armed key once (a repeated key repeats its
+        // seq), with deadlines non-decreasing and seqs increasing.
+        let armed = cal.lane_seq.iter().filter(|&&s| s != LANE_IDLE).count();
+        if armed != cal.lane.len() {
+            return Err(corrupt(format!(
+                "lane lists {} timers for {armed} armed keys",
+                cal.lane.len()
+            )));
+        }
+        let mut prev = (cal.now.as_nanos(), None);
+        for e in &cal.lane {
+            if e.seq == LANE_IDLE || e.seq >= cal.next_seq {
+                return Err(corrupt(format!("lane timer of key {} is not armed", e.key)));
+            }
+            if e.at < prev.0 || prev.1.is_some_and(|p| p >= e.seq) {
+                return Err(corrupt(format!("lane timer of key {} is out of order", e.key)));
+            }
+            prev = (e.at, Some(e.seq));
+        }
+
+        if pending + cal.lane.len() != cal.live || cal.live > cal.high_water {
+            return Err(corrupt(format!(
+                "live count {} disagrees with {} pending events (high water {})",
+                cal.live,
+                pending + cal.lane.len(),
+                cal.high_water
+            )));
         }
         Ok(cal)
     }
@@ -945,7 +1254,12 @@ mod tests {
             .count();
         let heap = cal.overflow.iter().filter(|&&(_, i)| is_live(i)).count();
         let ready = cal.ready.iter().filter(|&&i| is_live(i)).count();
-        wheel + heap + ready
+        let lane = cal
+            .lane
+            .iter()
+            .filter(|e| cal.lane_seq[e.key as usize] == e.seq)
+            .count();
+        wheel + heap + ready + lane
     }
 
     #[test]
@@ -1060,6 +1374,11 @@ mod tests {
         for i in (0..200).step_by(3) {
             assert!(cal.cancel(tokens[i]), "tombstone setup");
         }
+        for key in 0..6 {
+            cal.arm_lane(key, SimTime::from_micros(100 + 50 * key as u64), 1000 + key as u64);
+        }
+        cal.arm_lane(1, SimTime::from_micros(400), 1100); // replaced
+        assert!(cal.disarm_lane(4)); // disarmed
         for _ in 0..25 {
             cal.pop(); // recycle some slots, bump generations
         }
@@ -1133,6 +1452,12 @@ mod tests {
         w.usize(0); // empty slab …
         Vec::<u32>::new().save(&mut w);
         vec![7u32].save(&mut w); // … but ready names entry 7
+        for _ in 0..LEVELS {
+            w.usize(0); // no occupied wheel slots
+        }
+        w.usize(0); // empty overflow heap
+        Vec::<u64>::new().save(&mut w); // no lane keys
+        w.usize(0); // no lane timers
         let bytes = w.finish();
         let mut r = crate::snap::SnapReader::new(&bytes).expect("envelope ok");
         match Calendar::<u64>::load(&mut r) {
@@ -1141,5 +1466,285 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn lane_timers_interleave_with_scheduled_events_by_seq() {
+        let mut cal = Calendar::new();
+        let t = SimTime::from_nanos(10);
+        cal.schedule(t, 'a');
+        cal.arm_lane(0, t, 'b');
+        cal.schedule(t, 'c');
+        cal.arm_lane(1, SimTime::from_nanos(11), 'd');
+        cal.schedule(SimTime::from_nanos(5), 'z');
+        assert_eq!(cal.len(), 5);
+        assert_eq!(cal.peek_time(), Some(SimTime::from_nanos(5)));
+        let order: Vec<char> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!['z', 'a', 'b', 'c', 'd']);
+        assert!(cal.is_empty());
+    }
+
+    #[test]
+    fn arm_lane_replaces_and_disarm_drops() {
+        let mut cal = Calendar::new();
+        cal.arm_lane(3, SimTime::from_nanos(5), 'x');
+        cal.arm_lane(3, SimTime::from_nanos(7), 'y');
+        assert_eq!(cal.len(), 1, "re-arming replaces the pending timer");
+        assert_eq!(cal.high_water(), 1);
+        cal.arm_lane(0, SimTime::from_nanos(8), 'w');
+        assert!(cal.disarm_lane(0));
+        assert!(!cal.disarm_lane(0), "double disarm must report false");
+        assert!(!cal.disarm_lane(99), "an unknown key has nothing to disarm");
+        assert_eq!(cal.len(), 1);
+        assert_eq!(cal.peek_time(), Some(SimTime::from_nanos(7)));
+        assert_eq!(cal.pop(), Some((SimTime::from_nanos(7), 'y')));
+        assert_eq!(cal.pop(), None);
+        assert!(!cal.disarm_lane(3), "a fired timer is no longer armed");
+    }
+
+    #[test]
+    #[should_panic(expected = "armed in time order")]
+    fn lane_rejects_out_of_order_deadlines() {
+        let mut cal = Calendar::new();
+        cal.arm_lane(0, SimTime::from_nanos(50), ());
+        cal.arm_lane(1, SimTime::from_nanos(40), ());
+    }
+
+    #[test]
+    fn lane_head_before_base_pops_without_draining_the_wheel() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime::from_millis(100), 'w');
+        cal.arm_lane(0, SimTime::from_millis(3), 'q');
+        assert_eq!(cal.pop(), Some((SimTime::from_millis(3), 'q')));
+        // The wheel has been drained up to its next event; a lane timer
+        // armed before that event must still come first.
+        cal.arm_lane(0, SimTime::from_millis(6), 'r');
+        cal.schedule(SimTime::from_millis(6), 's');
+        assert_eq!(cal.pop(), Some((SimTime::from_millis(6), 'r')));
+        assert_eq!(cal.pop(), Some((SimTime::from_millis(6), 's')));
+        assert_eq!(cal.pop(), Some((SimTime::from_millis(100), 'w')));
+        assert_eq!(cal.pop(), None);
+    }
+
+    #[test]
+    fn lane_matches_schedule_and_cancel_exactly() {
+        // The same keyed timers driven through the lane and through
+        // schedule/cancel must give the same pops, live counts, and
+        // high-water marks at every step.
+        let mut lane = Calendar::new();
+        let mut wheel = Calendar::new();
+        let mut tokens: Vec<Option<EventToken>> = vec![None; 8];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let delay = SimDuration::from_micros(3000);
+        for round in 0..20_000u64 {
+            let key = (next() % 8) as usize;
+            match next() % 6 {
+                0 | 1 => {
+                    let at = wheel.now() + SimDuration::from_nanos(next() % 5_000_000);
+                    lane.schedule(at, round);
+                    wheel.schedule(at, round);
+                }
+                2 => {
+                    let at = wheel.now() + delay;
+                    lane.arm_lane(key, at, round);
+                    if let Some(tok) = tokens[key].take() {
+                        wheel.cancel(tok);
+                    }
+                    tokens[key] = Some(wheel.schedule(at, round));
+                }
+                3 => {
+                    let had = tokens[key].take().is_some_and(|tok| wheel.cancel(tok));
+                    assert_eq!(lane.disarm_lane(key), had, "disarm at round {round}");
+                }
+                // A fired timer's token goes stale, and its key disarmed.
+                _ => assert_eq!(lane.pop(), wheel.pop(), "pop diverged at round {round}"),
+            }
+            assert_eq!(lane.len(), wheel.len(), "live count at round {round}");
+            assert_eq!(lane.high_water(), wheel.high_water(), "high water at round {round}");
+            assert_eq!(accounted_live(&lane), lane.len());
+        }
+        let a: Vec<_> = std::iter::from_fn(|| lane.pop()).collect();
+        let b: Vec<_> = std::iter::from_fn(|| wheel.pop()).collect();
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn restored_calendar_recycles_like_the_live_one() {
+        // Slab reuse after a restore — which entry each new event gets, and
+        // so the tokens handed out — must follow the live calendar exactly,
+        // through cascades of slots holding tombstones.
+        let (mut live, _) = busy_calendar();
+        let mut w = crate::snap::SnapWriter::new();
+        live.save(&mut w);
+        let bytes = w.finish();
+        let mut r = crate::snap::SnapReader::new(&bytes).expect("valid");
+        let mut restored = Calendar::<u64>::load(&mut r).expect("loads");
+        for i in 0..300u64 {
+            let at = live.now() + SimDuration::from_nanos(1 + (i * 104_729) % 2_000_000);
+            let a = live.schedule(at, 5000 + i);
+            let b = restored.schedule(at, 5000 + i);
+            assert_eq!(a, b, "token diverged at step {i}");
+            if i % 3 == 0 {
+                assert_eq!(live.cancel(a), restored.cancel(b));
+            }
+            assert_eq!(live.pop(), restored.pop(), "pop diverged at step {i}");
+        }
+        let save = |cal: &Calendar<u64>| {
+            let mut w = crate::snap::SnapWriter::new();
+            cal.save(&mut w);
+            w.finish()
+        };
+        assert_eq!(save(&live), save(&restored));
+    }
+
+    /// A hand-written v2 calendar body, mutated one field at a time by the
+    /// corruption tests below.
+    #[derive(Clone)]
+    struct Raw {
+        base: u64,
+        live: usize,
+        /// (at, seq, cancelled, payload)
+        slab: Vec<(u64, u64, bool, Option<u64>)>,
+        free: Vec<u32>,
+        ready: Vec<u32>,
+        /// (level, slot, indices)
+        slots: Vec<(usize, u32, Vec<u32>)>,
+        overflow: Vec<u32>,
+        lane_seq: Vec<u64>,
+        /// (key, at, payload)
+        lane: Vec<(u32, u64, u64)>,
+    }
+
+    impl Raw {
+        /// Base 2048 ns, clock 1000 ns: entry 0 in ready, 1 live and 4
+        /// cancelled in level-0 slots, 3 in overflow, 2 free, and two lane
+        /// timers (keys 0 and 2, seqs 4 and 5).
+        fn valid() -> Self {
+            Raw {
+                base: 2048,
+                live: 5,
+                slab: vec![
+                    (1500, 0, false, Some(10)),
+                    (5000, 1, false, Some(11)),
+                    (0, 0, false, None),
+                    (8_000_000_000_000, 2, false, Some(13)),
+                    (6000, 3, true, None),
+                ],
+                free: vec![2],
+                ready: vec![0],
+                slots: vec![(0, 4, vec![1]), (0, 5, vec![4])],
+                overflow: vec![3],
+                lane_seq: vec![4, LANE_IDLE, 5],
+                lane: vec![(0, 4000, 20), (2, 4000, 22)],
+            }
+        }
+
+        fn load(&self) -> Result<Calendar<u64>, crate::snap::SnapError> {
+            let mut w = crate::snap::SnapWriter::new();
+            w.section("calendar");
+            w.u64(1000); // now
+            w.u64(self.base);
+            w.u64(6); // next_seq
+            w.usize(self.live);
+            w.usize(5); // high_water
+            w.usize(self.slab.len());
+            for &(at, seq, cancelled, payload) in &self.slab {
+                w.u64(at);
+                w.u64(seq);
+                w.u32(1); // gen
+                w.bool(cancelled);
+                payload.save(&mut w);
+            }
+            self.free.save(&mut w);
+            self.ready.save(&mut w);
+            for level in 0..LEVELS {
+                let slots: Vec<_> = self.slots.iter().filter(|s| s.0 == level).collect();
+                w.usize(slots.len());
+                for (_, slot, idxs) in slots {
+                    w.u32(*slot);
+                    idxs.save(&mut w);
+                }
+            }
+            self.overflow.save(&mut w);
+            self.lane_seq.save(&mut w);
+            w.usize(self.lane.len());
+            for &(key, at, payload) in &self.lane {
+                w.u32(key);
+                w.u64(at);
+                w.u64(payload);
+            }
+            let bytes = w.finish();
+            let mut r = crate::snap::SnapReader::new(&bytes).expect("envelope ok");
+            Calendar::<u64>::load(&mut r)
+        }
+    }
+
+    #[test]
+    fn hand_built_snapshot_loads_and_pops_in_order() {
+        let mut cal = Raw::valid().load().expect("valid body loads");
+        assert_eq!(cal.len(), 5);
+        let order: Vec<(u64, u64)> =
+            std::iter::from_fn(|| cal.pop().map(|(t, e)| (t.as_nanos(), e))).collect();
+        assert_eq!(
+            order,
+            vec![(1500, 10), (4000, 20), (4000, 22), (5000, 11), (8_000_000_000_000, 13)]
+        );
+    }
+
+    #[test]
+    fn corrupt_snapshot_bodies_are_rejected() {
+        type Mutation = fn(&mut Raw);
+        let cases: &[(&str, Mutation, &str)] = &[
+            ("slot index out of range", |r| r.slots[0].2.push(9), "out of range"),
+            ("overflow index out of range", |r| r.overflow[0] = 5, "out of range"),
+            ("entry in two containers", |r| r.slots[0].2.push(0), "listed twice"),
+            ("free entry listed twice", |r| r.free.push(2), "listed twice"),
+            ("entry in no container", |r| r.free.clear(), "in no container"),
+            ("free entry still holds a payload", |r| r.slab[2].3 = Some(1), "still in use"),
+            ("live entry without payload", |r| r.slab[1].3 = None, "impossible state"),
+            ("slot entry before the base", |r| r.slab[1].0 = 1024, "does not belong"),
+            ("slot entry in the wrong slot", |r| r.slots[0].1 = 6, "does not belong"),
+            ("overflow entry before the base", |r| r.slab[3].0 = 100, "before the wheel base"),
+            ("ready entry after the base", |r| r.slab[0].0 = 4096, "out of order"),
+            ("slot listed empty", |r| r.slots.push((1, 3, vec![])), "listed badly"),
+            ("slot number out of range", |r| r.slots[0].1 = 300, "listed badly"),
+            ("lane key out of range", |r| r.lane[1].0 = 7, "out of range"),
+            ("lane key repeated", |r| r.lane[1].0 = 0, "out of order"),
+            ("lane deadlines decreasing", |r| r.lane[1].1 = 3500, "out of order"),
+            ("lane deadline before the clock", |r| r.lane[0].1 = 900, "out of order"),
+            ("armed key without a timer", |r| r.lane_seq[1] = 3, "armed keys"),
+            ("live count too high", |r| r.live = 6, "live count"),
+            ("live count too low", |r| r.live = 4, "live count"),
+        ];
+        for (what, mutate, expect) in cases {
+            let mut raw = Raw::valid();
+            mutate(&mut raw);
+            match raw.load() {
+                Err(crate::snap::SnapError::Corrupt(msg)) => {
+                    assert!(msg.contains(expect), "{what}: got {msg:?}")
+                }
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn huge_length_prefix_fails_without_allocating() {
+        let mut w = crate::snap::SnapWriter::new();
+        w.section("calendar");
+        for _ in 0..5 {
+            w.u64(0); // now, base, next_seq, live, high_water
+        }
+        w.usize(1 << 60); // slab length no buffer could hold
+        let bytes = w.finish();
+        let mut r = crate::snap::SnapReader::new(&bytes).expect("envelope ok");
+        assert!(matches!(
+            Calendar::<u64>::load(&mut r),
+            Err(crate::snap::SnapError::Truncated { .. })
+        ));
     }
 }

@@ -7,8 +7,9 @@
 //! * **Simulated time** — [`SimTime`] and [`SimDuration`], nanosecond-
 //!   resolution newtypes with checked arithmetic ([`time`]).
 //! * **An event calendar** — [`Calendar`], a priority queue of `(time,
-//!   event)` pairs with stable FIFO tie-breaking and O(log n) cancellation
-//!   via [`EventToken`]s ([`calendar`]).
+//!   event)` pairs with stable FIFO tie-breaking, O(1) cancellation via
+//!   [`EventToken`]s, and an O(1) keyed lane for fixed-delay timers that
+//!   are re-armed far more often than they fire ([`calendar`]).
 //! * **Deterministic randomness** — [`Rng`] (xoshiro256++) and
 //!   [`RngFactory`], which derives independent named streams from a single
 //!   seed so that adding a consumer never perturbs existing ones ([`rng`]).

@@ -33,7 +33,7 @@ use crate::time::{SimDuration, SimTime};
 /// Leading magic of every snapshot buffer.
 pub const SNAP_MAGIC: [u8; 4] = *b"SNAP";
 /// Current format version; bumped on any layout change.
-pub const SNAP_VERSION: u32 = 1;
+pub const SNAP_VERSION: u32 = 2;
 /// Magic separating the body from the checksum trailer.
 const TRAILER_MAGIC: [u8; 4] = *b"ENDS";
 /// Tag byte opening a named section.
@@ -262,6 +262,12 @@ impl<'a> SnapReader<'a> {
         Ok(slice)
     }
 
+    /// Body bytes not yet consumed: an upper bound on what any
+    /// length-prefixed collection still to come can hold.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Verifies that the next item is the named section.
     pub fn section(&mut self, name: &str) -> Result<(), SnapError> {
         let bad = |found: String| SnapError::BadSection {
@@ -427,7 +433,7 @@ impl<T: Snap> Snap for Vec<T> {
         // Guard against absurd lengths from corrupt buffers: never reserve
         // more than the remaining bytes could possibly encode (1 byte/item
         // minimum).
-        let mut out = Vec::with_capacity(len.min(r.buf.len() - r.pos));
+        let mut out = Vec::with_capacity(len.min(r.remaining()));
         for _ in 0..len {
             out.push(T::load(r)?);
         }

@@ -157,6 +157,110 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn calendar_with_lane_matches_ordered_map_model_across_a_snapshot(
+        ops in proptest::collection::vec((0u8..7, 0u64..4_000_000, 0u64..1000), 1..400),
+        snap_at in 0usize..400,
+    ) {
+        // Random schedule / cancel / arm_lane / disarm_lane / pop
+        // interleavings against a reference map keyed by (time, seq). At
+        // `snap_at` the calendar is snapshotted: the restored copy must
+        // re-save byte-identically, and from then on both must follow the
+        // model op for op.
+        use simcore::snap::{Snap, SnapReader, SnapWriter};
+        use std::collections::BTreeMap;
+        const QUANTUM: u64 = 3_000_000;
+        const KEYS: usize = 4;
+        let save = |cal: &Calendar<u64>| {
+            let mut w = SnapWriter::new();
+            cal.save(&mut w);
+            w.finish()
+        };
+        let mut cals = vec![Calendar::<u64>::new()];
+        let mut model: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut now = 0u64;
+        let mut tokens = Vec::new();
+        let mut lane: [Option<(u64, u64)>; KEYS] = [None; KEYS];
+        for (i, &(op, a, b)) in ops.iter().enumerate() {
+            if i == snap_at {
+                let bytes = save(&cals[0]);
+                let mut r = SnapReader::new(&bytes).expect("valid envelope");
+                let restored = Calendar::<u64>::load(&mut r).expect("restores");
+                prop_assert_eq!(save(&restored), bytes, "snapshot→load→snapshot must be stable");
+                cals.push(restored);
+            }
+            let payload = i as u64;
+            match op {
+                0 | 1 => {
+                    // Every tenth event lands past the wheel horizon, and
+                    // some tie with a lane deadline to exercise the seq
+                    // tie-break.
+                    let at = match b % 10 {
+                        0 => now + a + 5_000_000_000_000,
+                        1 | 2 => now + QUANTUM,
+                        _ => now + a,
+                    };
+                    let toks: Vec<_> = cals
+                        .iter_mut()
+                        .map(|c| c.schedule(SimTime::from_nanos(at), payload))
+                        .collect();
+                    prop_assert!(toks.windows(2).all(|w| w[0] == w[1]), "tokens diverged");
+                    tokens.push((toks[0], (at, seq)));
+                    model.insert((at, seq), payload);
+                    seq += 1;
+                }
+                2 if !tokens.is_empty() => {
+                    let (tok, key) = tokens[(b as usize) % tokens.len()];
+                    let expect = model.remove(&key).is_some();
+                    for c in &mut cals {
+                        prop_assert_eq!(c.cancel(tok), expect);
+                    }
+                }
+                3 => {
+                    let key = (a as usize) % KEYS;
+                    let at = now + QUANTUM;
+                    for c in &mut cals {
+                        c.arm_lane(key, SimTime::from_nanos(at), payload);
+                    }
+                    if let Some(old) = lane[key].replace((at, seq)) {
+                        model.remove(&old);
+                    }
+                    model.insert((at, seq), payload);
+                    seq += 1;
+                }
+                4 => {
+                    let key = (a as usize) % KEYS;
+                    let expect = lane[key].take().is_some_and(|k| model.remove(&k).is_some());
+                    for c in &mut cals {
+                        prop_assert_eq!(c.disarm_lane(key), expect);
+                    }
+                }
+                _ => {
+                    let expect = model.pop_first().map(|((at, _), p)| (SimTime::from_nanos(at), p));
+                    if let Some((t, _)) = expect {
+                        now = t.as_nanos();
+                    }
+                    for c in &mut cals {
+                        prop_assert_eq!(c.pop(), expect);
+                    }
+                }
+            }
+            for c in &cals {
+                prop_assert_eq!(c.len(), model.len());
+            }
+        }
+        let expect: Vec<_> = model.into_iter().map(|((at, _), p)| (SimTime::from_nanos(at), p)).collect();
+        for mut c in cals {
+            let rest: Vec<_> = std::iter::from_fn(|| c.pop()).collect();
+            prop_assert_eq!(&rest, &expect);
+        }
+    }
+}
+
 // -------------------------------------------------------------- USL fitting
 
 proptest! {
