@@ -5,7 +5,7 @@
 //! noisy, the minimum is the signal), and writes the machine-readable
 //! `results/BENCH_simperf.json`. The JSON also carries the pre-overhaul
 //! baseline wall time recorded for the same flagship scenario, so the
-//! speedup of the timer-wheel/slab/memo work stays visible in CI artifacts.
+//! speedup since that overhaul stays visible in CI artifacts.
 
 use loadgen::ClosedLoop;
 use microsvc::{mix_seed, Deployment, Engine, EngineParams, ShardSpec, ShardedRun, SyncStats};

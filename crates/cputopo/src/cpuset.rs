@@ -136,6 +136,13 @@ impl CpuSet {
             .all(|(i, &w)| w & !other.words.get(i).copied().unwrap_or(0) == 0)
     }
 
+    /// The bitmask as 64-bit words: CPU `i` is bit `i % 64` of word
+    /// `i / 64`. Trailing zero words are never stored.
+    #[inline]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
     /// Iterates CPUs in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {

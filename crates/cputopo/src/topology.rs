@@ -114,7 +114,19 @@ pub struct Topology {
     cpus_per_numa: Vec<CpuSet>,
     cpus_per_socket: Vec<CpuSet>,
     all: CpuSet,
+    /// Per CPU, its SMT sibling's index, or [`NO_SIBLING`]; derived from
+    /// the spec so the hot path answers [`Topology::smt_sibling`] with one
+    /// load instead of a core-set scan.
+    sibling: Vec<u32>,
+    /// Every core's CPUs in ascending order, `threads_per_core` per core.
+    core_cpus: Vec<CpuId>,
+    /// Every CCX's CPUs in ascending order, `ccx_width` per CCX.
+    ccx_cpus: Vec<CpuId>,
+    ccx_width: usize,
 }
+
+/// `Topology::sibling` entry of a CPU without an SMT sibling.
+const NO_SIBLING: u32 = u32::MAX;
 
 /// Builder for [`Topology`] values.
 ///
@@ -290,6 +302,30 @@ impl Topology {
             all.insert(cpu);
         }
 
+        // Flat tables for the per-event paths, straight from the numbering:
+        // thread t of core k is CPU t·cores + k, so listing a core's or a
+        // CCX's CPUs thread-major lists them in ascending order.
+        let (cores, tpc) = (cores as usize, spec.threads_per_core as usize);
+        let sibling = (0..ncpus)
+            .map(|i| match tpc {
+                2 => ((i + cores) % ncpus) as u32,
+                _ => NO_SIBLING,
+            })
+            .collect();
+        let mut core_cpus = Vec::with_capacity(ncpus);
+        for core in 0..cores {
+            core_cpus.extend((0..tpc).map(|t| CpuId((t * cores + core) as u32)));
+        }
+        let ccx_cores = spec.cores_per_ccx as usize;
+        let mut ccx_cpus = Vec::with_capacity(ncpus);
+        for first in (0..cores).step_by(ccx_cores) {
+            for t in 0..tpc {
+                let cpus = (first..first + ccx_cores).map(|k| CpuId((t * cores + k) as u32));
+                ccx_cpus.extend(cpus);
+            }
+        }
+        let ccx_width = ccx_cores * tpc;
+
         Topology {
             spec,
             cpus,
@@ -299,6 +335,10 @@ impl Topology {
             cpus_per_numa,
             cpus_per_socket,
             all,
+            sibling,
+            core_cpus,
+            ccx_cpus,
+            ccx_width,
         }
     }
 
@@ -386,16 +426,19 @@ impl Topology {
         self.cpus_per_socket.len()
     }
 
+    #[inline]
     fn info(&self, cpu: CpuId) -> &CpuInfo {
         &self.cpus[cpu.index()]
     }
 
     /// The physical core of a logical CPU.
+    #[inline]
     pub fn core_of(&self, cpu: CpuId) -> CoreId {
         self.info(cpu).core
     }
 
     /// The CCX (L3 domain) of a logical CPU.
+    #[inline]
     pub fn ccx_of(&self, cpu: CpuId) -> CcxId {
         self.info(cpu).ccx
     }
@@ -406,6 +449,7 @@ impl Topology {
     }
 
     /// The NUMA node of a logical CPU.
+    #[inline]
     pub fn numa_of(&self, cpu: CpuId) -> NumaId {
         self.info(cpu).numa
     }
@@ -421,12 +465,12 @@ impl Topology {
     }
 
     /// The other SMT thread of this CPU's core, if the core has exactly two.
+    #[inline]
     pub fn smt_sibling(&self, cpu: CpuId) -> Option<CpuId> {
-        if self.spec.threads_per_core != 2 {
-            return None;
+        match self.sibling[cpu.index()] {
+            NO_SIBLING => None,
+            sib => Some(CpuId(sib)),
         }
-        let core = self.core_of(cpu);
-        self.cpus_in_core(core).iter().find(|&c| c != cpu)
     }
 
     /// All logical CPUs of a core.
@@ -434,9 +478,23 @@ impl Topology {
         &self.cpus_per_core[core.index()]
     }
 
+    /// The logical CPUs of a core in ascending order, as a slice.
+    #[inline]
+    pub fn core_cpus(&self, core: CoreId) -> &[CpuId] {
+        let width = self.spec.threads_per_core as usize;
+        &self.core_cpus[core.index() * width..][..width]
+    }
+
     /// All logical CPUs of a CCX.
     pub fn cpus_in_ccx(&self, ccx: CcxId) -> &CpuSet {
         &self.cpus_per_ccx[ccx.index()]
+    }
+
+    /// The logical CPUs of a CCX in ascending order, as a slice: the same
+    /// CPUs in the same order as `cpus_in_ccx(ccx).iter()`.
+    #[inline]
+    pub fn ccx_cpus(&self, ccx: CcxId) -> &[CpuId] {
+        &self.ccx_cpus[ccx.index() * self.ccx_width..][..self.ccx_width]
     }
 
     /// All logical CPUs of a CCD.
@@ -720,6 +778,48 @@ mod tests {
         let t = TopologyBuilder::new("smt-off").threads_per_core(1).build();
         assert_eq!(t.smt_sibling(CpuId(0)), None);
         assert_eq!(t.num_cpus(), t.num_cores());
+    }
+
+    /// The flat tables answer exactly what the `CpuSet`s do, for every
+    /// preset and for SMT widths other than two.
+    #[test]
+    fn flat_tables_agree_with_cpu_sets() {
+        let machines = [
+            Topology::zen2_2p_128c(),
+            Topology::zen2_1p_64c(),
+            Topology::desktop_8c(),
+            TopologyBuilder::new("smt1")
+                .threads_per_core(1)
+                .ccxs_per_ccd(2)
+                .build(),
+            TopologyBuilder::new("smt4")
+                .threads_per_core(4)
+                .sockets(2)
+                .build(),
+        ];
+        for t in &machines {
+            for cpu in t.all_cpus().iter() {
+                let core = t.cpus_in_core(t.core_of(cpu));
+                let expected = match t.spec().threads_per_core {
+                    2 => core.iter().find(|&c| c != cpu),
+                    _ => None,
+                };
+                assert_eq!(t.smt_sibling(cpu), expected, "{} cpu {cpu}", t.spec().name);
+            }
+            for core in 0..t.num_cores() as u32 {
+                let core = CoreId(core);
+                let set: Vec<CpuId> = t.cpus_in_core(core).iter().collect();
+                assert_eq!(t.core_cpus(core), &set[..], "{} {core:?}", t.spec().name);
+            }
+            for ccx in 0..t.num_ccxs() as u32 {
+                let ccx = CcxId(ccx);
+                let set: Vec<CpuId> = t.cpus_in_ccx(ccx).iter().collect();
+                assert_eq!(t.ccx_cpus(ccx), &set[..], "{} ccx {ccx:?}", t.spec().name);
+                for &cpu in t.ccx_cpus(ccx) {
+                    assert_eq!(t.ccx_of(cpu), ccx);
+                }
+            }
+        }
     }
 
     #[test]

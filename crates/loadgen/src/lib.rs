@@ -189,7 +189,7 @@ pub struct ClosedLoop {
     think_mean: SimDuration, // simlint: allow(S1) — config, fixed at construction
     warmup: SimDuration, // simlint: allow(S1) — config, fixed at construction
     measure: Option<SimDuration>, // simlint: allow(S1) — config, fixed at construction
-    mix: Vec<f64>, // simlint: allow(S1) — config, fixed at construction
+    mix: WeightedIndex, // simlint: allow(S1) — config, fixed at construction
     issued: u64,
     completed: u64,
     errors: u64,
@@ -213,7 +213,7 @@ impl ClosedLoop {
             think_mean: SimDuration::ZERO,
             warmup: SimDuration::from_millis(500),
             measure: None,
-            mix: vec![1.0],
+            mix: WeightedIndex::new(&[1.0]),
             issued: 0,
             completed: 0,
             errors: 0,
@@ -245,10 +245,11 @@ impl ClosedLoop {
     ///
     /// # Panics
     ///
-    /// Panics if `mix` is empty.
+    /// Panics if `mix` is empty, holds a negative or non-finite weight, or
+    /// sums to zero.
     pub fn mix(mut self, mix: &[f64]) -> Self {
         assert!(!mix.is_empty(), "mix must name at least one class");
-        self.mix = mix.to_vec();
+        self.mix = WeightedIndex::new(mix);
         self
     }
 
@@ -317,8 +318,7 @@ impl ClosedLoop {
     }
 
     fn submit_for(&mut self, user: u64, ctx: &mut dyn EngineCtx) {
-        let mix = WeightedIndex::new(&self.mix);
-        let class = mix.sample_index(ctx.rng()) as u32;
+        let class = self.mix.sample_index(ctx.rng()) as u32;
         self.issued += 1;
         ctx.submit(class, user);
     }
@@ -453,7 +453,7 @@ pub struct OpenLoop {
     rate_rps: f64, // simlint: allow(S1) — config, fixed at construction
     warmup: SimDuration, // simlint: allow(S1) — config, fixed at construction
     measure: Option<SimDuration>, // simlint: allow(S1) — config, fixed at construction
-    mix: Vec<f64>, // simlint: allow(S1) — config, fixed at construction
+    mix: WeightedIndex, // simlint: allow(S1) — config, fixed at construction
     next_client: u64,
     completed: u64,
 }
@@ -471,7 +471,7 @@ impl OpenLoop {
             rate_rps,
             warmup: SimDuration::from_millis(500),
             measure: None,
-            mix: vec![1.0],
+            mix: WeightedIndex::new(&[1.0]),
             next_client: 0,
             completed: 0,
         }
@@ -493,10 +493,11 @@ impl OpenLoop {
     ///
     /// # Panics
     ///
-    /// Panics if `mix` is empty.
+    /// Panics if `mix` is empty, holds a negative or non-finite weight, or
+    /// sums to zero.
     pub fn mix(mut self, mix: &[f64]) -> Self {
         assert!(!mix.is_empty(), "mix must name at least one class");
-        self.mix = mix.to_vec();
+        self.mix = WeightedIndex::new(mix);
         self
     }
 
@@ -542,8 +543,7 @@ impl Driver for OpenLoop {
             TOKEN_WARMUP => ctx.reset_metrics(),
             TOKEN_STOP => ctx.request_stop(),
             TOKEN_ARRIVAL => {
-                let mix = WeightedIndex::new(&self.mix);
-                let class = mix.sample_index(ctx.rng()) as u32;
+                let class = self.mix.sample_index(ctx.rng()) as u32;
                 let client = self.next_client;
                 self.next_client += 1;
                 ctx.submit(class, client);
@@ -647,6 +647,61 @@ mod tests {
         let a = report.per_class[0].1 as f64;
         let b = report.per_class[1].1 as f64;
         assert!(b > 2.0 * a, "class b ({b}) should be ~3× class a ({a})");
+    }
+
+    /// Records what a generator submits, with no engine behind it.
+    struct Recorder {
+        rng: simcore::Rng,
+        classes: Vec<u32>,
+    }
+
+    impl EngineCtx for Recorder {
+        fn now(&self) -> SimTime {
+            SimTime::ZERO
+        }
+        fn set_timer(&mut self, _after: SimDuration, _token: u64) {}
+        fn submit(&mut self, class: u32, _client: u64) -> microsvc::RequestId {
+            self.classes.push(class);
+            microsvc::RequestId(self.classes.len() as u64)
+        }
+        fn rng(&mut self) -> &mut simcore::Rng {
+            &mut self.rng
+        }
+        fn reset_metrics(&mut self) {}
+        fn request_stop(&mut self) {}
+        fn completed_requests(&self) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn prebuilt_mix_draws_the_per_call_class_sequence() {
+        let weights = [1.0, 3.0, 0.5, 2.0];
+        let seed = 11;
+        let mut rec = Recorder {
+            rng: simcore::Rng::seed_from(seed),
+            classes: Vec::new(),
+        };
+        let mut closed = ClosedLoop::new(4).mix(&weights);
+        for i in 0..400 {
+            closed.on_timer(i % 4, &mut rec);
+        }
+        let mut open = OpenLoop::new(1_000.0).mix(&weights);
+        for _ in 0..400 {
+            open.on_timer(TOKEN_ARRIVAL, &mut rec);
+        }
+        // The same stream, with the index rebuilt for every draw as
+        // before; an arrival also draws its exponential gap.
+        let mut rng = simcore::Rng::seed_from(seed);
+        let mut expected: Vec<u32> = (0..400)
+            .map(|_| WeightedIndex::new(&weights).sample_index(&mut rng) as u32)
+            .collect();
+        for _ in 0..400 {
+            expected.push(WeightedIndex::new(&weights).sample_index(&mut rng) as u32);
+            Exp::from_mean(1e9 / 1_000.0).sample_duration(&mut rng);
+        }
+        assert_eq!(rec.classes, expected);
+        assert!((0..4).all(|c| rec.classes.contains(&c)));
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub struct RampLoad {
     end_rps: f64,
     ramp: SimDuration,
     warmup: SimDuration,
-    mix: Vec<f64>,
+    mix: WeightedIndex,
     started_at: Option<SimTime>,
     next_client: u64,
     completed: u64,
@@ -46,7 +46,7 @@ impl RampLoad {
             end_rps,
             ramp,
             warmup: SimDuration::from_millis(200),
-            mix: vec![1.0],
+            mix: WeightedIndex::new(&[1.0]),
             started_at: None,
             next_client: 0,
             completed: 0,
@@ -63,10 +63,11 @@ impl RampLoad {
     ///
     /// # Panics
     ///
-    /// Panics if `mix` is empty.
+    /// Panics if `mix` is empty, holds a negative or non-finite weight, or
+    /// sums to zero.
     pub fn mix(mut self, mix: &[f64]) -> Self {
         assert!(!mix.is_empty(), "mix must name at least one class");
-        self.mix = mix.to_vec();
+        self.mix = WeightedIndex::new(mix);
         self
     }
 
@@ -108,8 +109,7 @@ impl Driver for RampLoad {
         match token {
             TOKEN_WARMUP => ctx.reset_metrics(),
             TOKEN_ARRIVAL => {
-                let mix = WeightedIndex::new(&self.mix);
-                let class = mix.sample_index(ctx.rng()) as u32;
+                let class = self.mix.sample_index(ctx.rng()) as u32;
                 let client = self.next_client;
                 self.next_client += 1;
                 ctx.submit(class, client);
@@ -134,7 +134,7 @@ pub struct BurstyLoop {
     quiet: SimDuration,
     warmup: SimDuration,
     measure: Option<SimDuration>,
-    mix: Vec<f64>,
+    mix: WeightedIndex,
     in_burst: bool,
     issued: u64,
     completed: u64,
@@ -162,7 +162,7 @@ impl BurstyLoop {
             quiet,
             warmup: SimDuration::from_millis(200),
             measure: None,
-            mix: vec![1.0],
+            mix: WeightedIndex::new(&[1.0]),
             in_burst: true,
             issued: 0,
             completed: 0,
@@ -192,10 +192,11 @@ impl BurstyLoop {
     ///
     /// # Panics
     ///
-    /// Panics if `mix` is empty.
+    /// Panics if `mix` is empty, holds a negative or non-finite weight, or
+    /// sums to zero.
     pub fn mix(mut self, mix: &[f64]) -> Self {
         assert!(!mix.is_empty(), "mix must name at least one class");
-        self.mix = mix.to_vec();
+        self.mix = WeightedIndex::new(mix);
         self
     }
 
@@ -210,8 +211,7 @@ impl BurstyLoop {
     }
 
     fn submit_for(&mut self, user: u64, ctx: &mut dyn EngineCtx) {
-        let mix = WeightedIndex::new(&self.mix);
-        let class = mix.sample_index(ctx.rng()) as u32;
+        let class = self.mix.sample_index(ctx.rng()) as u32;
         self.issued += 1;
         ctx.submit(class, user);
     }

@@ -43,12 +43,18 @@ impl Demand {
 
     /// Draws one demand sample, in microseconds.
     pub fn sample_us(&self, rng: &mut Rng) -> f64 {
+        self.sampler().sample_us(rng)
+    }
+
+    /// A sampler with the distribution's parameters derived once, for
+    /// drawing many samples of this demand.
+    pub fn sampler(&self) -> DemandSampler {
         if self.mean_us <= 0.0 {
-            0.0
+            DemandSampler::Zero
         } else if self.cv <= 0.0 {
-            self.mean_us
+            DemandSampler::Fixed(self.mean_us)
         } else {
-            LogNormal::from_mean_cv(self.mean_us, self.cv).sample(rng)
+            DemandSampler::LogNormal(LogNormal::from_mean_cv(self.mean_us, self.cv))
         }
     }
 
@@ -57,6 +63,32 @@ impl Demand {
         Demand {
             mean_us: self.mean_us * factor,
             cv: self.cv,
+        }
+    }
+}
+
+/// A [`Demand`] ready to draw from: [`Demand::sampler`] derives the
+/// log-normal's parameters once, so a draw is one normal variate and an
+/// `exp`. A sampler draws the same values from the same stream as
+/// [`Demand::sample_us`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DemandSampler {
+    /// No CPU work.
+    Zero,
+    /// A deterministic demand, µs.
+    Fixed(f64),
+    /// A log-normal demand, µs.
+    LogNormal(LogNormal),
+}
+
+impl DemandSampler {
+    /// Draws one demand sample, in microseconds.
+    #[inline]
+    pub fn sample_us(&self, rng: &mut Rng) -> f64 {
+        match self {
+            DemandSampler::Zero => 0.0,
+            DemandSampler::Fixed(us) => *us,
+            DemandSampler::LogNormal(d) => d.sample(rng),
         }
     }
 }

@@ -24,7 +24,7 @@
 //! An instance's *representative CPU* is the CPU one of its workers last ran
 //! on — exact for pinned instances, a moving estimate for unpinned ones.
 
-use crate::app::{AppSpec, Demand};
+use crate::app::{AppSpec, DemandSampler};
 use crate::deploy::Deployment;
 use crate::driver::{Driver, EngineCtx, Outcome, ResponseInfo};
 use crate::fault::{FaultCause, FaultPlan};
@@ -102,8 +102,8 @@ impl Default for EngineParams {
 #[derive(Debug, Clone)]
 struct FlatNode {
     service: usize,
-    pre: Demand,
-    post: Demand,
+    pre: DemandSampler,
+    post: DemandSampler,
     /// Depth in the call tree (root = 0), recorded on trace spans.
     depth: u8,
     /// Stages of child node indices (into the class's `nodes`).
@@ -121,8 +121,8 @@ fn flatten_class(root: &crate::app::CallNode) -> FlatClass {
         let idx = nodes.len();
         nodes.push(FlatNode {
             service: node.service.index(),
-            pre: node.pre,
-            post: node.post,
+            pre: node.pre.sampler(),
+            post: node.post.sampler(),
             depth,
             stages: Vec::new(),
         });
@@ -266,6 +266,9 @@ struct Worker {
     job: Option<u64>,
 }
 
+/// `Engine::running` entry of a CPU that runs no worker.
+const IDLE_CPU: u32 = u32::MAX;
+
 #[derive(Debug, Clone, Copy)]
 struct CpuExec {
     worker: usize,
@@ -361,6 +364,11 @@ pub struct Engine {
     /// pre-slab `requests.len()` did.
     submitted_total: u64,
     exec: Vec<Option<CpuExec>>,
+    /// Per CPU, the instance whose worker runs there, or [`IDLE_CPU`]: the
+    /// occupancy half of `exec` in 4-byte slots, for the CCX scans.
+    running: Vec<u32>, // simlint: allow(S1) — derived from `exec`, rebuilt on restore
+    /// Per instance, its service's working set in bytes.
+    inst_ws: Vec<f64>, // simlint: allow(S1) — derived from app at construction
     next_gen: u64,
     metrics: Metrics,
     sched_stats_baseline: SchedStats,
@@ -388,12 +396,10 @@ pub struct Engine {
     tracer: Tracer,
     /// Quantized machine-occupancy bucket driving the boost multiplier.
     boost_bucket: u32,
-    /// Memoized µarch speed factors per (service, contention-context) key.
-    speed_memo: uarch::SpeedMemo, // simlint: allow(S1) — memo, rebuilt on demand
+    /// The boosted wall-clock rate of `boost_bucket`, cycles per ns.
+    wall_rate: f64, // simlint: allow(S1) — derived from boost_bucket, rebuilt on restore
     /// Reusable buffer for load-balancer candidate lists.
     cand_scratch: Vec<Candidate>, // simlint: allow(S1) — scratch, always drained
-    /// Reusable buffer for CPU lists (re-rates, metric resets).
-    cpu_scratch: Vec<CpuId>, // simlint: allow(S1) — scratch, always drained
     /// Events handled by [`run`](Self::run) so far (self-benchmark metric).
     events_processed: u64,
 }
@@ -512,11 +518,15 @@ impl Engine {
             .collect();
         let cycles_per_us = topo.freq_hz() / 1e6 / 1e3 * 1e3; // GHz × 1000 cycles/µs
         let ncpus = topo.num_cpus();
+        let inst_ws = instances
+            .iter()
+            .map(|i| app.services()[i.service].profile.working_set_bytes as f64)
+            .collect();
         let tracer = match params.trace_reservoir {
             Some(capacity) => Tracer::reservoir(capacity, factory.stream("trace")),
             None => Tracer::new(params.trace_sample_every),
         };
-        Engine {
+        let mut engine = Engine {
             topo,
             params,
             app,
@@ -533,6 +543,8 @@ impl Engine {
             free_requests: Vec::new(),
             submitted_total: 0,
             exec: vec![None; ncpus],
+            running: vec![IDLE_CPU; ncpus],
+            inst_ws,
             next_gen: 0,
             metrics,
             sched_stats_baseline: SchedStats::default(),
@@ -548,11 +560,12 @@ impl Engine {
             stop_requested: false,
             tracer,
             boost_bucket: 0,
-            speed_memo: uarch::SpeedMemo::new(),
+            wall_rate: 0.0,
             cand_scratch: Vec::new(),
-            cpu_scratch: Vec::new(),
             events_processed: 0,
-        }
+        };
+        engine.wall_rate = engine.bucket_wall_rate();
+        engine
     }
 
     /// The machine this engine simulates.
@@ -598,11 +611,9 @@ impl Engine {
     /// re-arming them would double every warmup/stop event.
     pub fn run_resumed(&mut self, driver: &mut dyn Driver, until: SimTime) {
         while !self.stop_requested {
-            match self.cal.peek_time() {
-                Some(t) if t <= until => {}
-                _ => break,
-            }
-            let (_, event) = self.cal.pop().expect("peeked event exists");
+            let Some((_, event)) = self.cal.pop_until(until) else {
+                break;
+            };
             self.events_processed += 1;
             self.handle(event, driver);
         }
@@ -1332,25 +1343,6 @@ impl Engine {
         );
     }
 
-    fn on_work_done(&mut self, cpu: CpuId, gen: u64) {
-        let Some(exec) = self.exec[cpu.index()] else {
-            return; // stale (exec torn down since scheduling)
-        };
-        if exec.gen != gen {
-            return; // stale (re-rated since scheduling)
-        }
-        self.flush_progress(cpu);
-        let exec = self.exec[cpu.index()].take().expect("checked above");
-        self.cal.disarm_lane(cpu.index());
-        let worker = exec.worker;
-        let job_id = self.workers[worker]
-            .job
-            .expect("running worker holds a job");
-        debug_assert!(self.jobs[job_id as usize].remaining_cycles <= 1.0);
-        self.jobs[job_id as usize].remaining_cycles = 0.0;
-        self.continue_worker(worker, cpu);
-    }
-
     fn on_quantum(&mut self, cpu: CpuId, gen: u64) {
         let Some(exec) = self.exec[cpu.index()] else {
             return;
@@ -1830,56 +1822,53 @@ impl Engine {
     }
 
     // ----------------------------------------------------- CPU / exec state
+    // simlint: hotpath(begin) — CPU/exec state: every slice start, end and
+    // re-rate of a CCX neighbour runs here; steady state must not allocate.
+
+    fn on_work_done(&mut self, cpu: CpuId, gen: u64) {
+        let Some(exec) = self.exec[cpu.index()] else {
+            return; // stale (exec torn down since scheduling)
+        };
+        if exec.gen != gen {
+            return; // stale (re-rated since scheduling)
+        }
+        self.flush_progress(cpu);
+        let exec = self.exec[cpu.index()].take().expect("checked above");
+        self.running[cpu.index()] = IDLE_CPU;
+        self.cal.disarm_lane(cpu.index());
+        let worker = exec.worker;
+        let job_id = self.workers[worker]
+            .job
+            .expect("running worker holds a job");
+        debug_assert!(self.jobs[job_id as usize].remaining_cycles <= 1.0);
+        self.jobs[job_id as usize].remaining_cycles = 0.0;
+        self.continue_worker(worker, cpu);
+    }
 
     /// The contention context of `worker`'s service on `cpu` right now.
-    ///
-    /// CCX pressure counts each *instance's* working set once — worker
-    /// threads of one instance share its heap — plus 15% per additional
-    /// concurrently-running thread of that instance (private stacks,
-    /// connection buffers), capped at 2× the base footprint.
     fn exec_context(&self, cpu: CpuId, worker: usize) -> ExecContext {
+        let instance = self.workers[worker].instance;
+        let pressure = self.ccx_pressure(cpu, Some(instance as u32));
+        self.context_under(cpu, instance, pressure)
+    }
+
+    /// The contention context of `instance` running on `cpu` when its CCX
+    /// is under `ccx_pressure`.
+    fn context_under(&self, cpu: CpuId, instance: usize, ccx_pressure: f64) -> ExecContext {
         let smt_sibling_busy = self
             .topo
             .smt_sibling(cpu)
-            .map(|sib| self.exec[sib.index()].is_some())
-            .unwrap_or(false);
-        let l3 = self.topo.caches().l3_bytes as f64;
-        let ccx = self.topo.ccx_of(cpu);
-        // (instance, running thread count) for this CCX; at most 8 entries.
-        let mut running: [(usize, u32); 16] = [(usize::MAX, 0); 16];
-        let mut n_entries = 0;
-        for c in self.topo.cpus_in_ccx(ccx).iter() {
-            let w = if c == cpu {
-                Some(worker)
-            } else {
-                self.exec[c.index()].map(|e| e.worker)
-            };
-            let Some(w) = w else { continue };
-            let inst = self.workers[w].instance;
-            if let Some(entry) = running[..n_entries].iter_mut().find(|e| e.0 == inst) {
-                entry.1 += 1;
-            } else if n_entries < running.len() {
-                running[n_entries] = (inst, 1);
-                n_entries += 1;
-            }
-        }
-        let mut ws_sum = 0.0;
-        for &(inst, k) in &running[..n_entries] {
-            let service = self.instances[inst].service;
-            let base = self.app.services()[service].profile.working_set_bytes as f64;
-            ws_sum += base * (1.0 + 0.15 * (k.saturating_sub(1)) as f64).min(2.0);
-        }
-        let instance = self.workers[worker].instance;
-        let numa_local = self.instances[instance].mem_node == self.topo.numa_of(cpu);
+            .is_some_and(|sib| self.running[sib.index()] != IDLE_CPU);
         ExecContext {
             smt_sibling_busy,
-            ccx_pressure: ws_sum / l3,
-            numa_local,
+            ccx_pressure,
+            numa_local: self.instances[instance].mem_node == self.topo.numa_of(cpu),
         }
     }
 
-    /// Current boosted wall-clock rate, cycles per nanosecond.
-    fn wall_rate(&self) -> f64 {
+    /// The boosted wall-clock rate of `boost_bucket`, cycles per
+    /// nanosecond, which `wall_rate` caches.
+    fn bucket_wall_rate(&self) -> f64 {
         let mult = self
             .params
             .uarch
@@ -1888,22 +1877,20 @@ impl Engine {
         self.topo.freq_hz() / 1e9 * mult
     }
 
-    fn rate_for(&mut self, worker: usize, ctx: &ExecContext) -> f64 {
-        let instance = self.workers[worker].instance;
-        let service = self.instances[instance].service;
+    /// Reference cycles `worker` retires per nanosecond under `ctx`, at the
+    /// boosted clock `wall_rate`.
+    fn rate_for(&self, worker: usize, ctx: &ExecContext, wall_rate: f64) -> f64 {
+        let service = self.instances[self.workers[worker].instance].service;
         let profile = &self.app.services()[service].profile;
-        let factor = self
-            .speed_memo
-            .factor(service as u32, profile, ctx, &self.params.uarch);
-        // Reference cycles retired per nanosecond (at the boosted clock).
-        self.wall_rate() * factor
+        wall_rate * self.params.uarch.speed_factor(profile, ctx).value()
     }
 
     /// Puts `worker` into execution on `cpu` and schedules its completion.
     fn start_exec(&mut self, cpu: CpuId, worker: usize) {
         debug_assert!(self.exec[cpu.index()].is_none());
         let ctx = self.exec_context(cpu, worker);
-        let rate = self.rate_for(worker, &ctx);
+        let wall_rate = self.wall_rate;
+        let rate = self.rate_for(worker, &ctx, wall_rate);
         let job_id = self.workers[worker].job.expect("exec requires a job");
         let remaining = self.jobs[job_id as usize].remaining_cycles;
         let gen = self.next_gen;
@@ -1916,13 +1903,15 @@ impl Engine {
         self.exec[cpu.index()] = Some(CpuExec {
             worker,
             rate,
-            wall_rate: self.wall_rate(),
+            wall_rate,
             ctx,
             since: self.now(),
             gen,
             done_token,
         });
-        self.instances[self.workers[worker].instance].rep_cpu = cpu;
+        let instance = self.workers[worker].instance;
+        self.running[cpu.index()] = instance as u32;
+        self.instances[instance].rep_cpu = cpu;
         // `ctx` already counts `worker` on `cpu`, so its pressure is what
         // every neighbor now sees.
         self.rerate_neighbors(cpu, Some(ctx.ccx_pressure));
@@ -1944,6 +1933,7 @@ impl Engine {
         let exec = self.exec[cpu.index()]
             .take()
             .expect("release_exec on idle cpu");
+        self.running[cpu.index()] = IDLE_CPU;
         self.cal.cancel(exec.done_token);
         self.cal.disarm_lane(cpu.index());
         self.rerate_neighbors(cpu, None);
@@ -1968,18 +1958,13 @@ impl Engine {
             let center = (self.boost_bucket as f64 + 0.5) / 20.0;
             if (fraction - center).abs() > 0.075 {
                 self.boost_bucket = uarch::BoostModel::bucket(fraction);
-                let mut busy = std::mem::take(&mut self.cpu_scratch);
-                busy.clear();
-                busy.extend(
-                    self.topo
-                        .all_cpus()
-                        .iter()
-                        .filter(|c| self.exec[c.index()].is_some()),
-                );
-                for &cpu in &busy {
-                    self.rerate(cpu);
+                self.wall_rate = self.bucket_wall_rate();
+                // Re-rating changes no CPU's occupancy: read it as we go.
+                for i in 0..self.running.len() {
+                    if self.running[i] != IDLE_CPU {
+                        self.rerate(CpuId(i as u32));
+                    }
                 }
-                self.cpu_scratch = busy;
             }
         }
     }
@@ -2027,58 +2012,47 @@ impl Engine {
     /// Re-rates every other running task in `cpu`'s L3 domain (their SMT /
     /// cache-pressure context may have changed). `pressure` is the domain's
     /// current [`Engine::ccx_pressure`] when the caller already has it.
-    fn rerate_neighbors(&mut self, cpu: CpuId, pressure: Option<f64>) {
+    ///
+    /// Re-rating changes no CPU's occupancy, so the neighbours are read
+    /// straight off `running` while the loop re-rates them, and every one
+    /// sees the same CCX pressure: for a CPU that is already running, the
+    /// own-instance override in `exec_context` is the identity.
+    fn rerate_neighbors(&mut self, cpu: CpuId, mut pressure: Option<f64>) {
         let ccx = self.topo.ccx_of(cpu);
-        let mut neighbors = std::mem::take(&mut self.cpu_scratch);
-        neighbors.clear();
-        neighbors.extend(
-            self.topo
-                .cpus_in_ccx(ccx)
-                .iter()
-                .filter(|&c| c != cpu && self.exec[c.index()].is_some()),
-        );
-        if !neighbors.is_empty() {
-            // Occupancy doesn't change between neighbor re-rates, and for a
-            // CPU that is already running the own-context override in
-            // `exec_context` is the identity — so every neighbor sees
-            // exactly this CCX pressure. Compute the working-set scan once
-            // instead of once per neighbor.
-            let pressure = pressure.unwrap_or_else(|| self.ccx_pressure(ccx));
-            for &c in &neighbors {
-                self.flush_progress(c);
-                let Some(exec) = self.exec[c.index()] else {
-                    continue;
-                };
-                let smt_sibling_busy = self
-                    .topo
-                    .smt_sibling(c)
-                    .map(|sib| self.exec[sib.index()].is_some())
-                    .unwrap_or(false);
-                let instance = self.workers[exec.worker].instance;
-                let numa_local = self.instances[instance].mem_node == self.topo.numa_of(c);
-                let ctx = ExecContext {
-                    smt_sibling_busy,
-                    ccx_pressure: pressure,
-                    numa_local,
-                };
-                self.rerate_with_ctx(c, exec, ctx);
+        for i in 0..self.topo.ccx_cpus(ccx).len() {
+            let c = self.topo.ccx_cpus(ccx)[i];
+            let instance = self.running[c.index()];
+            if c == cpu || instance == IDLE_CPU {
+                continue;
             }
+            let ccx_pressure = *pressure.get_or_insert_with(|| self.ccx_pressure(c, None));
+            self.flush_progress(c);
+            let exec = self.exec[c.index()].expect("running cpu has an exec");
+            let ctx = self.context_under(c, instance as usize, ccx_pressure);
+            self.rerate_with_ctx(c, exec, ctx);
         }
-        self.cpu_scratch = neighbors;
     }
 
-    /// The shared-L3 working-set pressure of `ccx`'s currently running
-    /// tasks, exactly as [`Engine::exec_context`] would derive it for any
-    /// CPU already running there.
-    fn ccx_pressure(&self, ccx: cputopo::CcxId) -> f64 {
-        let l3 = self.topo.caches().l3_bytes as f64;
-        let mut running: [(usize, u32); 16] = [(usize::MAX, 0); 16];
+    /// The shared-L3 working-set pressure on `cpu`'s CCX, counting `cpu`
+    /// as running `own` when given (a task about to start there).
+    ///
+    /// Pressure counts each *instance's* working set once — worker threads
+    /// of one instance share its heap — plus 15% per additional
+    /// concurrently-running thread of that instance (private stacks,
+    /// connection buffers), capped at 2× the base footprint. Instances are
+    /// summed in order of their first CPU, ascending.
+    fn ccx_pressure(&self, cpu: CpuId, own: Option<u32>) -> f64 {
+        // (instance, running thread count); at most one entry per CPU.
+        let mut running: [(u32, u32); 16] = [(IDLE_CPU, 0); 16];
         let mut n_entries = 0;
-        for c in self.topo.cpus_in_ccx(ccx).iter() {
-            let Some(w) = self.exec[c.index()].map(|e| e.worker) else {
-                continue;
+        for &c in self.topo.ccx_cpus(self.topo.ccx_of(cpu)) {
+            let inst = match own {
+                Some(inst) if c == cpu => inst,
+                _ => self.running[c.index()],
             };
-            let inst = self.workers[w].instance;
+            if inst == IDLE_CPU {
+                continue;
+            }
             if let Some(entry) = running[..n_entries].iter_mut().find(|e| e.0 == inst) {
                 entry.1 += 1;
             } else if n_entries < running.len() {
@@ -2088,11 +2062,10 @@ impl Engine {
         }
         let mut ws_sum = 0.0;
         for &(inst, k) in &running[..n_entries] {
-            let service = self.instances[inst].service;
-            let base = self.app.services()[service].profile.working_set_bytes as f64;
+            let base = self.inst_ws[inst as usize];
             ws_sum += base * (1.0 + 0.15 * (k.saturating_sub(1)) as f64).min(2.0);
         }
-        ws_sum / l3
+        ws_sum / self.topo.caches().l3_bytes as f64
     }
 
     fn rerate(&mut self, cpu: CpuId) {
@@ -2105,7 +2078,8 @@ impl Engine {
     }
 
     fn rerate_with_ctx(&mut self, cpu: CpuId, exec: CpuExec, ctx: ExecContext) {
-        let rate = self.rate_for(exec.worker, &ctx);
+        let wall_rate = self.wall_rate;
+        let rate = self.rate_for(exec.worker, &ctx, wall_rate);
         if (rate - exec.rate).abs() < 1e-12 {
             return;
         }
@@ -2124,13 +2098,14 @@ impl Engine {
         self.exec[cpu.index()] = Some(CpuExec {
             worker: exec.worker,
             rate,
-            wall_rate: self.wall_rate(),
+            wall_rate,
             ctx,
             since: self.now(),
             gen,
             done_token,
         });
     }
+    // simlint: hotpath(end)
 
     // ------------------------------------------------------ sched plumbing
 
@@ -2476,6 +2451,10 @@ impl Engine {
             wk.job = job;
         }
         self.submitted_total = submitted_total;
+        self.running = exec
+            .iter()
+            .map(|e| e.map_or(IDLE_CPU, |e| self.workers[e.worker].instance as u32))
+            .collect();
         self.exec = exec;
         self.next_gen = next_gen;
         self.sched_stats_baseline = baseline;
@@ -2485,6 +2464,7 @@ impl Engine {
         self.resil_rng = resil_rng;
         self.stop_requested = stop_requested;
         self.boost_bucket = boost_bucket;
+        self.wall_rate = self.bucket_wall_rate();
         self.events_processed = events_processed;
         Ok(())
     }
@@ -2890,7 +2870,7 @@ impl EngineCtx for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{CallNode, CallStage, ServiceSpec};
+    use crate::app::{CallNode, CallStage, Demand, ServiceSpec};
     use crate::ids::ServiceId;
     use uarch::ServiceProfile;
 

@@ -74,7 +74,7 @@ pub mod resilience;
 pub mod shard;
 pub mod trace;
 
-pub use app::{AppSpec, CallNode, CallStage, Demand, RequestClass, ServiceSpec};
+pub use app::{AppSpec, CallNode, CallStage, Demand, DemandSampler, RequestClass, ServiceSpec};
 pub use chaos::{
     shrink, ChaosPlan, FaultEvent, OracleCtx, PlanSpace, ShrinkOutcome, Slo, SloPolicy, Verdict,
 };

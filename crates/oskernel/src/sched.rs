@@ -92,13 +92,35 @@ pub struct Scheduler {
     /// every push/pop/remove so idle paths (notably steals) can bail out in
     /// O(1) on an unqueued machine.
     queued_total: usize,
+    /// Bit `c` set: CPU `c` runs no task (`running[c].is_none()`).
+    idle: Vec<u64>, // simlint: allow(S1) — derived from `running`, rebuilt on restore
+    /// Bit `c` set: every CPU of `c`'s core is idle.
+    idle_cores: Vec<u64>, // simlint: allow(S1) — derived from `running`, rebuilt on restore
     stats: SchedStats,
+}
+
+#[inline]
+fn bit(cpu: CpuId) -> (usize, u64) {
+    (cpu.index() / 64, 1 << (cpu.index() % 64))
+}
+
+/// The lowest CPU set in all of `domain`, `affinity` and `mask`.
+#[inline]
+fn lowest_common(domain: &CpuSet, affinity: &CpuSet, mask: &[u64]) -> Option<CpuId> {
+    let (d, a) = (domain.words(), affinity.words());
+    let n = d.len().min(a.len()).min(mask.len());
+    (0..n).find_map(|i| {
+        let w = d[i] & a[i] & mask[i];
+        (w != 0).then(|| CpuId((i * 64) as u32 + w.trailing_zeros()))
+    })
 }
 
 impl Scheduler {
     /// Creates a scheduler for `topo` with the given parameters.
     pub fn new(topo: Arc<Topology>, params: SchedParams) -> Self {
         let ncpus = topo.num_cpus();
+        // Every CPU, and so every core, starts idle.
+        let all_idle: Vec<u64> = topo.all_cpus().words().to_vec();
         Scheduler {
             topo,
             params,
@@ -106,6 +128,8 @@ impl Scheduler {
             runqueues: (0..ncpus).map(|_| RunQueue::new()).collect(),
             running: vec![None; ncpus],
             queued_total: 0,
+            idle: all_idle.clone(),
+            idle_cores: all_idle,
             stats: SchedStats::default(),
         }
     }
@@ -396,6 +420,9 @@ impl Scheduler {
         t.cpu = Some(cpu);
         t.last_cpu = Some(cpu);
         self.running[cpu.index()] = Some(task);
+        let (w, b) = bit(cpu);
+        self.idle[w] &= !b;
+        self.mark_core_idle(cpu, false);
         Placement {
             task,
             cpu,
@@ -413,6 +440,11 @@ impl Scheduler {
             "running table corrupt"
         );
         self.running[cpu.index()] = None;
+        let (w, b) = bit(cpu);
+        self.idle[w] |= b;
+        if self.core_is_idle_scan(cpu) {
+            self.mark_core_idle(cpu, true);
+        }
         let t = &mut self.tasks[task.index()];
         t.cpu = None;
         t.state = into;
@@ -445,39 +477,68 @@ impl Scheduler {
         }
         let anchor = anchor.or_else(|| affinity.first())?;
         let domains = self.topo.domains_of(anchor);
+        // Each pass takes the lowest qualifying CPU of the innermost domain
+        // that has one: the CPU an ascending scan of that domain meets
+        // first. The outermost domain is the whole machine, so pass 2 finds
+        // any idle CPU of `affinity`.
         // Pass 1 (optional): fully idle cores.
         if self.params.prefer_idle_cores {
-            for domain in &domains {
-                let mut best = None;
-                for cpu in domain.iter() {
-                    if affinity.contains(cpu) && !self.is_busy(cpu) && self.core_is_idle(cpu) {
-                        best = Some(cpu);
-                        break;
-                    }
-                }
-                if best.is_some() {
-                    return best;
-                }
+            if let Some(cpu) = domains
+                .iter()
+                .find_map(|d| lowest_common(d, affinity, &self.idle_cores))
+            {
+                return Some(cpu);
             }
         }
         // Pass 2: any idle CPU.
-        for domain in &domains {
-            for cpu in domain.iter() {
-                if affinity.contains(cpu) && !self.is_busy(cpu) {
-                    return Some(cpu);
-                }
-            }
-        }
-        // Affinity may reach outside the anchor's machine walk only if the
-        // anchor is not in `affinity`; cover the remainder.
-        affinity.iter().find(|&c| !self.is_busy(c))
+        domains
+            .iter()
+            .find_map(|d| lowest_common(d, affinity, &self.idle))
     }
 
+    /// `true` if every CPU of `cpu`'s core is idle.
+    #[inline]
     fn core_is_idle(&self, cpu: CpuId) -> bool {
+        let (w, b) = bit(cpu);
+        self.idle_cores[w] & b != 0
+    }
+
+    /// [`Scheduler::core_is_idle`] from the running table alone.
+    fn core_is_idle_scan(&self, cpu: CpuId) -> bool {
         self.topo
-            .cpus_in_core(self.topo.core_of(cpu))
+            .core_cpus(self.topo.core_of(cpu))
             .iter()
-            .all(|c| !self.is_busy(c))
+            .all(|&c| !self.is_busy(c))
+    }
+
+    /// Sets (`idle`) or clears the idle-core bit of every CPU of `cpu`'s
+    /// core.
+    fn mark_core_idle(&mut self, cpu: CpuId, idle: bool) {
+        for &c in self.topo.core_cpus(self.topo.core_of(cpu)) {
+            let (w, b) = bit(c);
+            if idle {
+                self.idle_cores[w] |= b;
+            } else {
+                self.idle_cores[w] &= !b;
+            }
+        }
+    }
+
+    /// Recomputes the idle and idle-core masks from the running table.
+    fn rebuild_masks(&mut self) {
+        let words = self.running.len().div_ceil(64);
+        self.idle = vec![0; words];
+        self.idle_cores = vec![0; words];
+        for i in 0..self.running.len() {
+            let cpu = CpuId(i as u32);
+            let (w, b) = bit(cpu);
+            if !self.is_busy(cpu) {
+                self.idle[w] |= b;
+            }
+            if self.core_is_idle_scan(cpu) {
+                self.idle_cores[w] |= b;
+            }
+        }
     }
 
     fn least_loaded(&self, affinity: &CpuSet) -> CpuId {
@@ -601,6 +662,7 @@ impl Scheduler {
         self.tasks = tasks;
         self.runqueues = runqueues;
         self.running = running;
+        self.rebuild_masks();
         self.queued_total = r.usize()?;
         self.stats = SchedStats {
             wakeups: r.u64()?,
@@ -615,7 +677,8 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cputopo::Proximity;
+    use cputopo::{Proximity, TopologyBuilder};
+    use proptest::prelude::*;
 
     fn small() -> (Arc<Topology>, Scheduler) {
         let topo = Arc::new(Topology::desktop_8c()); // 8 cores, 16 cpus
@@ -917,6 +980,162 @@ mod tests {
         match other.snap_restore(&mut r) {
             Err(SnapError::Corrupt(msg)) => assert!(msg.contains("runqueues"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// The idle-CPU search as an ascending scan over each domain: the
+    /// reference the bitmask search must reproduce CPU for CPU.
+    fn find_idle_cpu_linear(
+        s: &Scheduler,
+        anchor: Option<CpuId>,
+        affinity: &CpuSet,
+    ) -> Option<CpuId> {
+        if let Some(last) = anchor {
+            if affinity.contains(last)
+                && !s.is_busy(last)
+                && (!s.params.prefer_idle_cores || core_is_idle_linear(s, last))
+            {
+                return Some(last);
+            }
+        }
+        let anchor = anchor.or_else(|| affinity.first())?;
+        let domains = s.topo.domains_of(anchor);
+        if s.params.prefer_idle_cores {
+            for domain in &domains {
+                for cpu in domain.iter() {
+                    if affinity.contains(cpu) && !s.is_busy(cpu) && core_is_idle_linear(s, cpu) {
+                        return Some(cpu);
+                    }
+                }
+            }
+        }
+        for domain in &domains {
+            for cpu in domain.iter() {
+                if affinity.contains(cpu) && !s.is_busy(cpu) {
+                    return Some(cpu);
+                }
+            }
+        }
+        affinity.iter().find(|&c| !s.is_busy(c))
+    }
+
+    fn core_is_idle_linear(s: &Scheduler, cpu: CpuId) -> bool {
+        s.topo
+            .cpus_in_core(s.topo.core_of(cpu))
+            .iter()
+            .all(|c| !s.is_busy(c))
+    }
+
+    fn machine(which: u8) -> Arc<Topology> {
+        Arc::new(match which {
+            0 => Topology::desktop_8c(),
+            1 => Topology::zen2_2p_128c(),
+            _ => TopologyBuilder::new("smt-off")
+                .threads_per_core(1)
+                .ccxs_per_ccd(2)
+                .ccds_per_numa(2)
+                .build(),
+        })
+    }
+
+    /// Occupies the CPUs named by `busy` (indices wrap), then frees those
+    /// named by `freed`, so the masks see both start and deschedule.
+    fn occupied(topo: &Arc<Topology>, prefer: bool, busy: &[u16], freed: &[u16]) -> Scheduler {
+        let params = SchedParams {
+            prefer_idle_cores: prefer,
+            ..SchedParams::default()
+        };
+        let mut sched = Scheduler::new(topo.clone(), params);
+        let n = topo.num_cpus();
+        let mut pinned = Vec::new();
+        for &b in busy {
+            let cpu = CpuId(u32::from(b) % n as u32);
+            if !sched.is_busy(cpu) {
+                let t = sched.spawn([cpu].into_iter().collect());
+                sched.wake(t, SimTime::ZERO).expect("pinned cpu is idle");
+                pinned.push(t);
+            }
+        }
+        for &f in freed {
+            if pinned.is_empty() {
+                break;
+            }
+            let t = pinned.swap_remove(usize::from(f) % pinned.len());
+            sched.block(t);
+        }
+        sched
+    }
+
+    fn mask_of(topo: &Topology, cpus: &[u16]) -> CpuSet {
+        let n = topo.num_cpus() as u32;
+        cpus.iter().map(|&c| CpuId(u32::from(c) % n)).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn bitmask_idle_search_matches_the_linear_scan(
+            which in 0u8..3,
+            prefer in any::<bool>(),
+            busy in proptest::collection::vec(any::<u16>(), 0..300),
+            freed in proptest::collection::vec(any::<u16>(), 0..40),
+            affinity in proptest::collection::vec(any::<u16>(), 1..40),
+            whole_machine in any::<bool>(),
+            anchor in any::<u16>(),
+        ) {
+            let topo = machine(which);
+            let sched = occupied(&topo, prefer, &busy, &freed);
+            let affinity = if whole_machine {
+                topo.all_cpus().clone()
+            } else {
+                mask_of(&topo, &affinity)
+            };
+            for cpu in topo.all_cpus().iter() {
+                prop_assert_eq!(sched.core_is_idle(cpu), core_is_idle_linear(&sched, cpu));
+            }
+            let n = topo.num_cpus() as u32;
+            let anchors = [None, Some(CpuId(u32::from(anchor) % n)), affinity.first()];
+            for a in anchors {
+                prop_assert_eq!(
+                    sched.find_idle_cpu(a, &affinity),
+                    find_idle_cpu_linear(&sched, a, &affinity),
+                    "anchor {:?}", a
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn snapshot_round_trip_keeps_placements_identical() {
+        for which in 0..3 {
+            let topo = machine(which);
+            let n = topo.num_cpus() as u16;
+            let busy: Vec<u16> = (0..n).filter(|c| c % 3 != 1).collect();
+            let mut sched = occupied(&topo, true, &busy, &[5, 2, 9, 4]);
+            let mut w = SnapWriter::new();
+            sched.snap_save(&mut w);
+            let bytes = w.finish();
+            let mut restored = Scheduler::new(topo.clone(), SchedParams::default());
+            restored
+                .snap_restore(&mut SnapReader::new(&bytes).unwrap())
+                .expect("restores");
+            assert_eq!(restored.idle, sched.idle);
+            assert_eq!(restored.idle_cores, sched.idle_cores);
+            // Every further wakeup lands on the same CPU in both.
+            for i in 0..u32::from(n) {
+                let affinity = if i % 2 == 0 {
+                    topo.all_cpus().clone()
+                } else {
+                    [CpuId(i), CpuId((i * 7) % u32::from(n))]
+                        .into_iter()
+                        .collect()
+                };
+                let a = sched.spawn(affinity.clone());
+                let b = restored.spawn(affinity);
+                assert_eq!(a, b);
+                assert_eq!(sched.wake_outcome(a), restored.wake_outcome(b), "wake {i}");
+            }
         }
     }
 

@@ -529,18 +529,33 @@ impl<E> Calendar<E> {
     ///
     /// Returns `None` when the calendar is exhausted.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let (at, payload) = if self.next_in_lane()? {
+        self.pop_until(SimTime::MAX)
+    }
+
+    /// Pops the earliest live event if it is due at or before `until`,
+    /// advancing the clock to its timestamp; otherwise leaves it pending.
+    ///
+    /// One probe of the queue head, where `peek_time` followed by `pop`
+    /// takes two. Returns `None` when nothing is due by `until`.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, E)> {
+        let (in_lane, ns) = self.head()?;
+        if ns > until.as_nanos() {
+            return None;
+        }
+        let payload = if in_lane {
             let e = self.lane.pop_front().expect("lane head checked");
             self.lane_seq[e.key as usize] = LANE_IDLE;
-            (e.at, e.payload)
+            e.payload
         } else {
             let idx = self.ready.pop().expect("ready back checked");
-            let e = &mut self.slab[idx as usize];
-            let out = (e.at, e.payload.take().expect("live ready entry without payload"));
+            let payload = self.slab[idx as usize]
+                .payload
+                .take()
+                .expect("live ready entry without payload");
             self.recycle(idx);
-            out
+            payload
         };
-        let at = SimTime::from_nanos(at);
+        let at = SimTime::from_nanos(ns);
         self.now = at;
         self.live -= 1;
         Some((at, payload))
@@ -548,12 +563,19 @@ impl<E> Calendar<E> {
 
     /// The timestamp of the next live event without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        let ns = if self.next_in_lane()? {
+        self.head().map(|(_, ns)| SimTime::from_nanos(ns))
+    }
+
+    /// Whether the earliest live event is the lane head, and its time.
+    #[inline]
+    fn head(&mut self) -> Option<(bool, u64)> {
+        let in_lane = self.next_in_lane()?;
+        let ns = if in_lane {
             self.lane.front().expect("lane head checked").at
         } else {
             self.ready_key().0
         };
-        Some(SimTime::from_nanos(ns))
+        Some((in_lane, ns))
     }
 
     /// Where the earliest live event waits: `Some(true)` at the lane head,
@@ -1482,6 +1504,23 @@ mod tests {
         let order: Vec<char> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!['z', 'a', 'b', 'c', 'd']);
         assert!(cal.is_empty());
+    }
+
+    #[test]
+    fn pop_until_leaves_later_events_pending() {
+        let mut cal = Calendar::new();
+        cal.schedule(SimTime::from_nanos(10), 'a');
+        cal.arm_lane(0, SimTime::from_nanos(12), 'b');
+        cal.schedule(SimTime::from_nanos(20), 'c');
+        let until = SimTime::from_nanos(12);
+        assert_eq!(cal.pop_until(until), Some((SimTime::from_nanos(10), 'a')));
+        assert_eq!(cal.pop_until(until), Some((SimTime::from_nanos(12), 'b')));
+        assert_eq!(cal.pop_until(until), None);
+        assert_eq!(cal.now(), until, "a refused pop leaves the clock alone");
+        assert_eq!(cal.len(), 1);
+        let last = SimTime::from_nanos(20);
+        assert_eq!(cal.pop_until(last), Some((last, 'c')));
+        assert_eq!(cal.pop_until(SimTime::MAX), None);
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! Whatever interleaving of schedule / cancel / pop runs, the wheel must
 //! produce exactly the model's pop order — including same-instant FIFO
 //! tie-breaking and cancel semantics — and agree on `len` and `peek_time`.
+//! `pop_until` pops exactly when the model's next event is due by then.
 
 use proptest::prelude::*;
 use proptest::strategy::Just;
@@ -59,6 +60,8 @@ enum Op {
     Cancel { nth: usize },
     Pop,
     Peek,
+    /// Pop the next event only if it is due within `delta` ns of now.
+    PopUntil(u64),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -73,6 +76,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Peek),
+        (0u64..=1 << 16).prop_map(Op::PopUntil),
     ]
 }
 
@@ -107,6 +111,17 @@ proptest! {
                 }
                 Op::Peek => {
                     prop_assert_eq!(cal.peek_time().map(SimTime::as_nanos), model.peek());
+                }
+                Op::PopUntil(delta) => {
+                    let until = model.now.saturating_add(delta);
+                    let got = cal
+                        .pop_until(SimTime::from_nanos(until))
+                        .map(|(t, p)| (t.as_nanos(), p));
+                    let want = match model.peek() {
+                        Some(at) if at <= until => model.pop(),
+                        _ => None,
+                    };
+                    prop_assert_eq!(got, want);
                 }
             }
             prop_assert_eq!(cal.len(), model.pending.len());

@@ -24,12 +24,14 @@ impl SpeedFactor {
     /// # Panics
     ///
     /// Panics unless `0 < f ≤ 1`.
+    #[inline]
     pub fn new(f: f64) -> Self {
         assert!(f > 0.0 && f <= 1.0, "speed factor {f} outside (0, 1]");
         SpeedFactor(f)
     }
 
     /// The raw factor.
+    #[inline]
     pub fn value(self) -> f64 {
         self.0
     }
@@ -158,6 +160,7 @@ impl UarchParams {
     /// The execution-speed factor for `profile` under `ctx`.
     ///
     /// Composed multiplicatively from the SMT, L3-pressure and NUMA terms.
+    #[inline]
     pub fn speed_factor(&self, profile: &ServiceProfile, ctx: &ExecContext) -> SpeedFactor {
         let smt = if ctx.smt_sibling_busy {
             self.smt_corun_factor
